@@ -51,10 +51,10 @@ int main(int argc, char** argv) {
   serve::ColumnarStore store(&fleet, &cloud);
   atlas::Campaign campaign(fleet, cloud, internet, scenario.campaign);
   campaign.attach_sink(&store);
-  campaign.run();
+  const atlas::MeasurementDataset measured = campaign.run();
   store.refresh();
-  std::cout << "store: " << store.rows_stored() << " rows, "
-            << store.shard_count() << " shards\n";
+  std::cout << "store: " << store.rows_stored() << " of " << measured.size()
+            << " measured rows, " << store.shard_count() << " shards\n";
 
   // 2. Candidate universe from the scenario.
   opt::CandidateConfig candidates;

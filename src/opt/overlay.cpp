@@ -178,9 +178,10 @@ OverlayView OverlayEvaluator::evaluate(const ScenarioDelta& delta) const {
   }
   if (todo.empty()) return view;
 
-  // Recompute each affected cell from its raw columns with the same
-  // bucket → sort → from_sorted pipeline as ColumnarStore::refresh —
-  // the first half of the bit-exactness contract.
+  // Recompute each affected cell from its raw columns: bucket → sort →
+  // from_sorted yields the one sorted sequence of the cell's multiset,
+  // which ColumnarStore::refresh also reaches — the first half of the
+  // bit-exactness contract.
   const std::size_t regions = store_->registry().size();
   const float route = static_cast<float>(delta.route_scale);
   std::vector<std::vector<serve::RegionStats>> cells(todo.size());

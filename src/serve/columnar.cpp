@@ -172,7 +172,6 @@ void ColumnarStore::append(std::span<const atlas::Measurement> rows) {
     group.region_index.resize(grown);
     group.ticks.resize(grown);
     group.rtt_ms.resize(grown);
-    group.dirty = true;
     country_dirty_[key / net::kAccessTechnologyCount] = true;
     appended += total;
   }
@@ -205,48 +204,100 @@ void ColumnarStore::append(std::span<const atlas::Measurement> rows) {
   }
 }
 
-void ColumnarStore::refresh_group(KeyGroup& group) {
+namespace {
+
+void set_scalars(RegionStats& cell) {
+  cell.count = cell.ecdf.size();
+  cell.min_ms = cell.ecdf.min();
+  cell.median_ms = cell.ecdf.quantile(0.5);
+  cell.p95_ms = cell.ecdf.quantile(0.95);
+}
+
+}  // namespace
+
+std::size_t ColumnarStore::refresh_group(KeyGroup& group, bool keep_runs) {
   const std::size_t regions = registry_->size();
-  std::vector<std::vector<double>> samples(regions);
-  for (std::size_t i = 0; i < group.rtt_ms.size(); ++i) {
-    samples[group.region_index[i]].push_back(
-        static_cast<double>(group.rtt_ms[i]));
-  }
-  group.stats.assign(regions, RegionStats{});
+  const std::size_t begin = group.summarized;
+  const std::size_t end = group.rtt_ms.size();
+  // Bucket the new rows by region into exact-size buckets (counted
+  // first), in ingestion order.
+  std::vector<std::uint32_t> fill(regions, 0);
+  for (std::size_t i = begin; i < end; ++i) ++fill[group.region_index[i]];
+  std::vector<std::vector<double>> buckets(regions);
   for (std::size_t r = 0; r < regions; ++r) {
-    if (samples[r].empty()) continue;
-    std::sort(samples[r].begin(), samples[r].end());
-    RegionStats& cell = group.stats[r];
-    cell.ecdf = stats::Ecdf::from_sorted(std::move(samples[r]));
-    cell.count = cell.ecdf.size();
-    cell.min_ms = cell.ecdf.min();
-    cell.median_ms = cell.ecdf.quantile(0.5);
-    cell.p95_ms = cell.ecdf.quantile(0.95);
+    buckets[r].resize(fill[r]);
+    fill[r] = 0;
   }
-  group.dirty = false;
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::uint16_t r = group.region_index[i];
+    buckets[r][fill[r]++] = static_cast<double>(group.rtt_ms[i]);
+  }
+
+  if (group.stats.empty()) group.stats.resize(regions);
+  for (std::size_t r = 0; r < regions; ++r) {
+    if (buckets[r].empty()) continue;
+    std::sort(buckets[r].begin(), buckets[r].end());
+    if (keep_runs) {
+      group.runs.push_back(
+          NewRun{static_cast<std::uint16_t>(r), buckets[r]});
+    }
+    RegionStats& cell = group.stats[r];
+    cell.ecdf.merge_sorted(std::move(buckets[r]));
+    set_scalars(cell);
+  }
+  group.summarized = end;
+  return end - begin;
 }
 
 void ColumnarStore::refresh_country(std::size_t country_idx) {
   const std::size_t regions = registry_->size();
   std::vector<RegionStats>& rollup = country_stats_[country_idx];
-  rollup.assign(regions, RegionStats{});
-  for (std::size_t r = 0; r < regions; ++r) {
-    std::array<const stats::Ecdf*, net::kAccessTechnologyCount> parts{};
-    std::size_t used = 0;
-    for (std::size_t a = 0; a < net::kAccessTechnologyCount; ++a) {
-      const KeyGroup& group =
-          groups_[country_idx * net::kAccessTechnologyCount + a];
-      if (group.stats.empty() || group.stats[r].empty()) continue;
-      parts[used++] = &group.stats[r].ecdf;
+  const std::span<KeyGroup> parts(
+      groups_.data() + country_idx * net::kAccessTechnologyCount,
+      net::kAccessTechnologyCount);
+
+  if (rollup.empty()) {
+    // First build of this rollup: merge the shard cells whole.
+    rollup.resize(regions);
+    for (std::size_t r = 0; r < regions; ++r) {
+      std::array<const stats::Ecdf*, net::kAccessTechnologyCount> cells{};
+      std::size_t used = 0;
+      for (const KeyGroup& group : parts) {
+        if (group.stats.empty() || group.stats[r].empty()) continue;
+        cells[used++] = &group.stats[r].ecdf;
+      }
+      if (used == 0) continue;
+      RegionStats& cell = rollup[r];
+      cell.ecdf = stats::Ecdf::merged(
+          std::span<const stats::Ecdf* const>(cells.data(), used));
+      set_scalars(cell);
     }
-    if (used == 0) continue;
+    return;
+  }
+
+  // Built rollup: combine each touched region's new runs across the
+  // access shards, then merge that one run into the rollup cell.
+  std::vector<std::vector<double>> combined(regions);
+  for (KeyGroup& group : parts) {
+    for (NewRun& run : group.runs) {
+      std::vector<double>& into = combined[run.region];
+      if (into.empty()) {
+        into = std::move(run.samples);
+        continue;
+      }
+      const std::size_t mid = into.size();
+      into.insert(into.end(), run.samples.begin(), run.samples.end());
+      std::inplace_merge(into.begin(),
+                         into.begin() + static_cast<std::ptrdiff_t>(mid),
+                         into.end());
+    }
+    group.runs.clear();
+  }
+  for (std::size_t r = 0; r < regions; ++r) {
+    if (combined[r].empty()) continue;
     RegionStats& cell = rollup[r];
-    cell.ecdf = stats::Ecdf::merged(
-        std::span<const stats::Ecdf* const>(parts.data(), used));
-    cell.count = cell.ecdf.size();
-    cell.min_ms = cell.ecdf.min();
-    cell.median_ms = cell.ecdf.quantile(0.5);
-    cell.p95_ms = cell.ecdf.quantile(0.95);
+    cell.ecdf.merge_sorted(std::move(combined[r]));
+    set_scalars(cell);
   }
 }
 
@@ -255,13 +306,17 @@ void ColumnarStore::refresh() {
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::uint32_t> dirty;
   for (std::uint32_t key = 0; key < key_count(); ++key) {
-    if (groups_[key].dirty) dirty.push_back(key);
+    if (groups_[key].dirty()) dirty.push_back(key);
   }
+  std::vector<std::size_t> folded(dirty.size(), 0);
   const std::size_t threads = heavy_threads(config_.threads, dirty.size());
   core::parallel_shards(dirty.size(), threads,
                         [&](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      refresh_group(groups_[dirty[i]]);
+      const std::uint32_t key = dirty[i];
+      const bool rollup_built =
+          !country_stats_[key / net::kAccessTechnologyCount].empty();
+      folded[i] = refresh_group(groups_[key], rollup_built);
     }
   });
 
@@ -281,7 +336,10 @@ void ColumnarStore::refresh() {
   fresh_ = true;
 
   if (metrics_ != nullptr) {
+    std::size_t rows = 0;
+    for (const std::size_t n : folded) rows += n;
     metrics_->counter("serve.store.refreshed_shards").add(dirty.size());
+    metrics_->counter("serve.store.refresh_rows").add(rows);
     metrics_->histogram("serve.store.refresh_ms")
         .record(std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - start)
@@ -327,9 +385,9 @@ ColumnarStore::ScanSummary ColumnarStore::scan_region(
   const KeyGroup& group =
       groups_[country_index * net::kAccessTechnologyCount +
               static_cast<std::size_t>(access)];
-  // Gather the cell's samples off the region-filtered column. Ingestion
-  // order, like refresh_group's bucketing — the value multiset (and so
-  // every kernel result) matches the Ecdf summary exactly.
+  // Gather the cell's samples off the region-filtered column. The value
+  // multiset (and so every kernel result) matches the Ecdf summary
+  // exactly.
   std::vector<float> values;
   values.reserve(group.rtt_ms.size());
   for (std::size_t i = 0; i < group.rtt_ms.size(); ++i) {

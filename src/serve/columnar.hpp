@@ -20,11 +20,22 @@
 //   * Lost bursts (received == 0) and rows from privileged probes
 //     (datacentre/cloud placement, excluded from every §4 analysis)
 //     are dropped at the door and only counted.
-//   * Summaries are recomputed lazily: append() marks shards dirty,
-//     refresh() rebuilds exactly the dirty ones (in parallel). Because a
-//     summary is a pure function of its shard's sample multiset, a store
-//     built from N+M rows at once and one built from N then appended M
-//     answer identically.
+//   * Summaries are extended lazily and incrementally. Each shard keeps
+//     a watermark: rows below it are already folded into its cells.
+//     append() adds rows above the watermark; refresh() buckets
+//     just those new rows by region, sorts each small bucket and merges
+//     it into the cell's sorted sample in O(n + m) (stats::Ecdf::
+//     merge_sorted), shards in parallel. The country pass merges the
+//     same new runs into only the rollup cells they touch. A fresh store
+//     (first build, or load_snapshot with its watermarks at 0) takes the
+//     same path from empty cells, and a country whose rollup is not built
+//     yet merges its shard cells in one go.
+//   * Byte identity: a multiset has exactly one sorted sequence, so a
+//     cell's sample — and every scalar, rollup, snapshot summary and
+//     oracle answer derived from it — is the same whether its rows came
+//     in one refresh or many, in whatever chunks. (Stored RTTs are
+//     finite and non-negative; the one pair of distinct doubles that
+//     compare equal, -0.0 and +0.0, could land in either order.)
 #pragma once
 
 #include <cstdint>
@@ -103,8 +114,9 @@ class ColumnarStore final : public atlas::MeasurementSink {
     append(rows);
   }
 
-  /// Rebuilds the summaries of every dirty shard and country rollup.
-  /// Idempotent and cheap when nothing changed.
+  /// Folds every row appended since the last refresh into its shard
+  /// cell and country rollup cell (see the contract above). Idempotent
+  /// and cheap when nothing changed.
   void refresh();
 
   /// True when every summary reflects every appended row.
@@ -186,7 +198,8 @@ class ColumnarStore final : public atlas::MeasurementSink {
   }
 
   /// Publishes serve.store.* counters (rows, dropped, appends, refreshed
-  /// shards) and the serve.store.refresh_ms histogram. Observational
+  /// shards, refresh_rows = rows folded into summaries by refreshes) and
+  /// the serve.store.refresh_ms histogram. Observational
   /// only; nullptr detaches. `metrics` must outlive the store.
   void attach_metrics(obs::MetricsRegistry* metrics);
 
@@ -196,20 +209,39 @@ class ColumnarStore final : public atlas::MeasurementSink {
   /// only code with by-hand access to the representation.
   friend struct SnapshotAccess;
 
+  /// Sorted samples one refresh added to one region of a shard — what
+  /// the country pass merges into an already-built rollup cell.
+  struct NewRun {
+    std::uint16_t region = 0;
+    std::vector<double> samples;
+  };
+
   struct KeyGroup {
     std::vector<std::uint32_t> probe_ids;
     std::vector<std::uint16_t> region_index;
     std::vector<std::uint32_t> ticks;
     std::vector<float> rtt_ms;
-    /// Dense by region index; rebuilt by refresh() when dirty.
+    /// Dense by region index; extended by refresh() from the rows past
+    /// the watermark.
     std::vector<RegionStats> stats;
-    bool dirty = false;
+    /// Watermark: rows [0, summarized) are folded into `stats`.
+    std::size_t summarized = 0;
+    /// The last refresh's new runs, ascending by region; filled only when
+    /// the country rollup is already built, drained by its country pass.
+    std::vector<NewRun> runs;
+
+    [[nodiscard]] bool dirty() const noexcept {
+      return summarized < rtt_ms.size();
+    }
   };
 
   [[nodiscard]] std::size_t key_count() const noexcept {
     return groups_.size();
   }
-  void refresh_group(KeyGroup& group);
+  /// Folds the group's rows past the watermark into its cells; returns
+  /// how many rows that was. `keep_runs` copies each region's new run
+  /// into `group.runs` for the country pass.
+  std::size_t refresh_group(KeyGroup& group, bool keep_runs);
   void refresh_country(std::size_t country_idx);
 
   const atlas::ProbeFleet* fleet_;

@@ -23,7 +23,8 @@ static_assert(std::endian::native == std::endian::little,
 
 /// The one door into ColumnarStore's representation (befriended in
 /// columnar.hpp): snapshot save reads the raw columns and counters,
-/// load writes them back and marks the rebuilt shards dirty.
+/// load writes them back with every watermark at 0 (all rows new) and
+/// marks their countries dirty.
 struct SnapshotAccess {
   using KeyGroup = ColumnarStore::KeyGroup;
 
@@ -504,7 +505,6 @@ ColumnarStore load_snapshot(std::span<const std::uint8_t> bytes,
                             ": non-finite or negative RTT");
       }
     }
-    group.dirty = true;
     country_dirty[key / net::kAccessTechnologyCount] = true;
     total_rows += n;
 

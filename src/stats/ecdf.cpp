@@ -40,6 +40,31 @@ Ecdf Ecdf::merged(std::span<const Ecdf* const> parts) {
   return ecdf;
 }
 
+void Ecdf::merge_sorted(std::vector<double> run) {
+  if (!std::is_sorted(run.begin(), run.end())) {
+    throw std::invalid_argument("Ecdf::merge_sorted: run not sorted");
+  }
+  if (run.empty()) return;
+  if (sorted_.empty()) {
+    sorted_ = std::move(run);
+    return;
+  }
+  // Backward merge: fill from the end, taking the larger head each step;
+  // once the run is drained the remaining prefix is already in place.
+  std::size_t i = sorted_.size();
+  std::size_t j = run.size();
+  if (sorted_.capacity() < i + j) sorted_.reserve(i + j + (i + j) / 8);
+  sorted_.resize(i + j);
+  std::size_t out = sorted_.size();
+  while (j != 0) {
+    if (i != 0 && sorted_[i - 1] > run[j - 1]) {
+      sorted_[--out] = sorted_[--i];
+    } else {
+      sorted_[--out] = run[--j];
+    }
+  }
+}
+
 double Ecdf::fraction_at_or_below(double x) const noexcept {
   if (sorted_.empty()) return 0.0;
   const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);

@@ -11,8 +11,9 @@
 
 namespace shears::stats {
 
-/// Immutable ECDF over a sample of doubles. Construction sorts a copy of
-/// the sample once; all queries are then O(log n).
+/// ECDF over a sample of doubles. Construction sorts a copy of the
+/// sample once; all queries are then O(log n). The only mutation is
+/// merge_sorted(), which keeps the sample sorted.
 class Ecdf {
  public:
   Ecdf() = default;
@@ -32,6 +33,16 @@ class Ecdf {
   /// quantiles equal those of an ECDF built over the concatenated raw
   /// samples in one shot, whatever the shard split was.
   [[nodiscard]] static Ecdf merged(std::span<const Ecdf* const> parts);
+
+  /// Folds a sorted run into the sample in O(n + m): the buffer grows
+  /// and the run is merged in from the back, so old elements below the
+  /// run's minimum never move. A full buffer grows to an eighth more
+  /// than it needs, so a sample extended by small daily runs reallocates
+  /// only every few weeks without doubling its footprint. An empty ECDF
+  /// adopts the run's buffer outright. The result equals merged() over
+  /// the two parts. Throws std::invalid_argument, before touching the
+  /// sample, when the run is not nondecreasing.
+  void merge_sorted(std::vector<double> run);
 
   [[nodiscard]] bool empty() const noexcept { return sorted_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }

@@ -27,7 +27,9 @@ TEST(Fuzz, CsvReaderParsesOrRejectsWithDiagnostics) {
   EXPECT_TRUE(result.passed) << result.banner;
   // The corpus must actually exercise the error paths, not only produce
   // still-valid documents.
-  if (result.passed) EXPECT_GT(rejected, 0u);
+  if (result.passed) {
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 TEST(Fuzz, JsonlReaderParsesOrRejectsWithDiagnostics) {
@@ -42,7 +44,9 @@ TEST(Fuzz, JsonlReaderParsesOrRejectsWithDiagnostics) {
       },
       8);
   EXPECT_TRUE(result.passed) << result.banner;
-  if (result.passed) EXPECT_GT(rejected, 0u);
+  if (result.passed) {
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 TEST(Fuzz, FrameDecoderNeverThrowsPastAFrameBoundary) {

@@ -1,11 +1,14 @@
 // The serving layer: spatial index exactness, columnar-store build /
-// append identity, the campaign sink hook, oracle semantics, and — on
-// every shipped scenario — byte-identity of the indexed oracle against
-// the brute-force full-scan reference.
+// append identity, the campaign sink hook, oracle semantics, on every
+// shipped scenario byte-identity of the indexed oracle against the
+// brute-force full-scan reference, and incremental refresh against
+// one-shot builds, lazy recovery and the full scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,9 +22,11 @@
 #include "geo/country.hpp"
 #include "geo/spatial_index.hpp"
 #include "net/latency_model.hpp"
+#include "obs/metrics.hpp"
 #include "serve/columnar.hpp"
 #include "serve/oracle.hpp"
 #include "serve/reference.hpp"
+#include "serve/snapshot.hpp"
 #include "topology/registry.hpp"
 
 namespace shears::serve {
@@ -243,6 +248,23 @@ TEST(ColumnarStore, UnresolvableRowThrows) {
       std::invalid_argument);
 }
 
+/// Cells equal as a reader sees them: the four scalars and the full
+/// sorted sample (which Oracle::weighted_coverage and rollups read).
+void expect_same_cells(std::span<const RegionStats> a,
+                       std::span<const RegionStats> b,
+                       const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    ASSERT_EQ(a[r].count, b[r].count) << where << " region " << r;
+    if (a[r].empty()) continue;
+    ASSERT_EQ(a[r].min_ms, b[r].min_ms) << where << " region " << r;
+    ASSERT_EQ(a[r].median_ms, b[r].median_ms) << where << " region " << r;
+    ASSERT_EQ(a[r].p95_ms, b[r].p95_ms) << where << " region " << r;
+    ASSERT_EQ(a[r].ecdf.sorted(), b[r].ecdf.sorted())
+        << where << " region " << r;
+  }
+}
+
 void expect_same_store(const ColumnarStore& a, const ColumnarStore& b) {
   ASSERT_EQ(a.rows_stored(), b.rows_stored());
   ASSERT_EQ(a.rows_dropped(), b.rows_dropped());
@@ -260,15 +282,13 @@ void expect_same_store(const ColumnarStore& a, const ColumnarStore& b) {
       ASSERT_EQ(shards_a[s].rtt_ms[i], shards_b[s].rtt_ms[i]);
     }
     const std::size_t country = country_index_of(shards_a[s].country);
-    const auto stats_a = a.shard_stats(country, shards_a[s].access);
-    const auto stats_b = b.shard_stats(country, shards_b[s].access);
-    ASSERT_EQ(stats_a.size(), stats_b.size());
-    for (std::size_t r = 0; r < stats_a.size(); ++r) {
-      ASSERT_EQ(stats_a[r].count, stats_b[r].count);
-      ASSERT_EQ(stats_a[r].min_ms, stats_b[r].min_ms);
-      ASSERT_EQ(stats_a[r].median_ms, stats_b[r].median_ms);
-      ASSERT_EQ(stats_a[r].p95_ms, stats_b[r].p95_ms);
-    }
+    expect_same_cells(a.shard_stats(country, shards_a[s].access),
+                      b.shard_stats(country, shards_b[s].access),
+                      "shard " + std::to_string(s));
+  }
+  for (std::size_t c = 0; c < geo::country_count(); ++c) {
+    expect_same_cells(a.country_stats(c), b.country_stats(c),
+                      "country " + std::to_string(c));
   }
 }
 
@@ -573,6 +593,182 @@ INSTANTIATE_TEST_SUITE_P(AllShippedScenarios, ScenarioOracle,
                            std::string name = info.param;
                            return name.substr(0, name.find('.'));
                          });
+
+// ------------------------------------------------- incremental refresh
+
+/// The dataset's rows regrouped by tick, dataset order within a tick:
+/// the chunks a store refreshed once per campaign tick sees.
+std::vector<std::vector<atlas::Measurement>> rows_by_tick(
+    const atlas::MeasurementDataset& dataset) {
+  std::vector<std::vector<atlas::Measurement>> ticks;
+  for (const atlas::Measurement& m : dataset.records()) {
+    if (m.tick >= ticks.size()) ticks.resize(m.tick + 1);
+    ticks[m.tick].push_back(m);
+  }
+  return ticks;
+}
+
+std::vector<atlas::Measurement> concat(
+    std::span<const std::vector<atlas::Measurement>> chunks) {
+  std::vector<atlas::Measurement> all;
+  for (const auto& chunk : chunks) {
+    all.insert(all.end(), chunk.begin(), chunk.end());
+  }
+  return all;
+}
+
+TEST(IncrementalRefresh, RefreshPerTickMatchesOneShotBuild) {
+  const CampaignWorld world;
+  const auto ticks = rows_by_tick(world.run());
+  ASSERT_GT(ticks.size(), 2u);
+  ColumnarStore one_shot(&world.fleet, &world.registry, StoreConfig{1});
+  one_shot.append(concat(ticks));
+  one_shot.refresh();
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    ColumnarStore live(&world.fleet, &world.registry, StoreConfig{threads});
+    for (const auto& chunk : ticks) {
+      live.append(chunk);
+      live.refresh();
+    }
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    expect_same_store(one_shot, live);
+  }
+}
+
+TEST(IncrementalRefresh, PartialChunkLeavesUntouchedCellsAsTheyWere) {
+  const TinyWorld world;
+  const std::vector<atlas::Measurement> first = {
+      row(0, 0, 0, 20.0f), row(0, 1, 0, 35.0f), row(1, 0, 0, 50.0f),
+      row(2, 1, 0, 70.0f), row(2, 2, 0, 15.0f)};
+  // Touches only DE/LTE, only region 2.
+  const std::vector<atlas::Measurement> second = {row(1, 2, 1, 44.0f),
+                                                  row(1, 2, 2, 12.0f)};
+  ColumnarStore store(&world.fleet, &world.registry, StoreConfig{1});
+  store.append(first);
+  store.refresh();
+  const std::size_t de = country_index_of(geo::find_country("DE"));
+  const std::size_t fr = country_index_of(geo::find_country("FR"));
+  const std::vector<RegionStats> de_before(store.country_stats(de).begin(),
+                                           store.country_stats(de).end());
+  const std::vector<RegionStats> fr_before(store.country_stats(fr).begin(),
+                                           store.country_stats(fr).end());
+  const double* de_region0 = store.country_stats(de)[0].ecdf.sorted().data();
+  const double* fr_region1 = store.country_stats(fr)[1].ecdf.sorted().data();
+
+  store.append(second);
+  store.refresh();
+  const auto de_after = store.country_stats(de);
+  expect_same_cells(fr_before, store.country_stats(fr), "FR rollup");
+  expect_same_cells(std::span(de_before).first(2), de_after.first(2),
+                    "DE rollup");
+  // Untouched rollup cells are not even rebuilt: same buffers.
+  EXPECT_EQ(de_after[0].ecdf.sorted().data(), de_region0);
+  EXPECT_EQ(store.country_stats(fr)[1].ecdf.sorted().data(), fr_region1);
+  EXPECT_EQ(de_after[2].ecdf.sorted(), (std::vector<double>{12.0, 44.0}));
+  EXPECT_EQ(de_after[2].median_ms, 28.0);
+
+  std::vector<atlas::Measurement> all = first;
+  all.insert(all.end(), second.begin(), second.end());
+  ColumnarStore one_shot(&world.fleet, &world.registry, StoreConfig{1});
+  one_shot.append(all);
+  one_shot.refresh();
+  expect_same_store(one_shot, store);
+}
+
+TEST(IncrementalRefresh, LazyRecoveryMatchesTheIncrementalLiveStore) {
+  const CampaignWorld world;
+  const auto ticks = rows_by_tick(world.run());
+  ASSERT_GT(ticks.size(), 2u);
+  const std::size_t base_ticks = ticks.size() / 2;
+  const std::string base_path =
+      ::testing::TempDir() + "incremental_refresh_base.snap";
+  const std::string log_path =
+      ::testing::TempDir() + "incremental_refresh_delta.log";
+
+  ColumnarStore live(&world.fleet, &world.registry, StoreConfig{1});
+  live.append(concat(std::span(ticks).first(base_ticks)));
+  live.refresh();
+  save_snapshot(live, base_path);
+  {
+    DeltaLog log(&live, log_path);
+    for (std::size_t t = base_ticks; t < ticks.size(); ++t) {
+      log.publish(ticks[t]);
+      live.refresh();
+    }
+  }
+
+  SnapshotLoadOptions lazy;
+  lazy.lazy_summaries = true;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    ColumnarStore recovered = load_snapshot(
+        base_path, &world.fleet, &world.registry, StoreConfig{threads}, lazy);
+    EXPECT_EQ(apply_delta_log(recovered, log_path),
+              ticks.size() - base_ticks);
+    recovered.refresh();
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    expect_same_store(live, recovered);
+  }
+  std::remove(base_path.c_str());
+  std::remove(log_path.c_str());
+}
+
+TEST(IncrementalRefresh, OracleMatchesFullScanAfterEveryRefresh) {
+  const CampaignWorld world;
+  const auto ticks = rows_by_tick(world.run());
+  const std::vector<Query> queries = scenario_queries(world.fleet);
+  ColumnarStore live(&world.fleet, &world.registry, StoreConfig{8});
+  const Oracle oracle(static_cast<const ColumnarStore*>(&live),
+                      OracleConfig{8, {}});
+  std::vector<atlas::Measurement> seen_rows;
+  for (std::size_t t = 0; t < ticks.size(); ++t) {
+    live.append(ticks[t]);
+    live.refresh();
+    seen_rows.insert(seen_rows.end(), ticks[t].begin(), ticks[t].end());
+    const atlas::MeasurementDataset seen(&world.fleet, &world.registry,
+                                         seen_rows);
+    const ReferenceOracle reference(&seen);
+    std::string why;
+    EXPECT_TRUE(answers_identical(reference.answer(queries),
+                                  oracle.answer(queries), why))
+        << "after tick " << t << ": " << why;
+  }
+}
+
+TEST(IncrementalRefresh, RefreshRowsCountsOnlyTheNewDay) {
+  const CampaignWorld world;
+  const auto ticks = rows_by_tick(world.run());
+  ASSERT_GT(ticks.size(), 1u);
+  const auto base = concat(std::span(ticks).first(ticks.size() - 1));
+  std::vector<std::uint64_t> per_threads;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    obs::MetricsRegistry metrics;
+    ColumnarStore store(&world.fleet, &world.registry, StoreConfig{threads});
+    store.attach_metrics(&metrics);
+    store.append(base);
+    store.refresh();
+    const std::uint64_t base_folded =
+        metrics.counter("serve.store.refresh_rows").value();
+    EXPECT_EQ(base_folded, store.rows_stored());
+
+    const std::size_t stored_before = store.rows_stored();
+    store.append(ticks.back());
+    store.refresh();
+    const std::uint64_t day_folded =
+        metrics.counter("serve.store.refresh_rows").value() -
+        base_folded;
+    const std::size_t day_stored = store.rows_stored() - stored_before;
+    ASSERT_GT(day_stored, 0u);
+    EXPECT_EQ(day_folded, day_stored);
+    EXPECT_LT(day_folded, store.rows_stored());
+    // A refresh with nothing new folds nothing.
+    store.refresh();
+    EXPECT_EQ(metrics.counter("serve.store.refresh_rows").value(),
+              base_folded + day_folded);
+    per_threads.push_back(day_folded);
+  }
+  EXPECT_EQ(per_threads[0], per_threads[1]);
+}
 
 }  // namespace
 }  // namespace shears::serve

@@ -154,6 +154,7 @@ void expect_same_store(const ColumnarStore& a, const ColumnarStore& b) {
       ASSERT_EQ(stats_a[r].min_ms, stats_b[r].min_ms);
       ASSERT_EQ(stats_a[r].median_ms, stats_b[r].median_ms);
       ASSERT_EQ(stats_a[r].p95_ms, stats_b[r].p95_ms);
+      ASSERT_EQ(stats_a[r].ecdf.sorted(), stats_b[r].ecdf.sorted());
     }
     const auto rollup_a = a.country_stats(country);
     const auto rollup_b = b.country_stats(country);
@@ -163,6 +164,7 @@ void expect_same_store(const ColumnarStore& a, const ColumnarStore& b) {
       ASSERT_EQ(rollup_a[r].min_ms, rollup_b[r].min_ms);
       ASSERT_EQ(rollup_a[r].median_ms, rollup_b[r].median_ms);
       ASSERT_EQ(rollup_a[r].p95_ms, rollup_b[r].p95_ms);
+      ASSERT_EQ(rollup_a[r].ecdf.sorted(), rollup_b[r].ecdf.sorted());
     }
   }
 }

@@ -2,7 +2,9 @@
 // distribution sanity, summaries, ECDFs, histograms, regression, bootstrap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "stats/bootstrap.hpp"
@@ -253,6 +255,74 @@ TEST(Ecdf, CurveIsMonotone) {
     EXPECT_GE(curve[i].first, curve[i - 1].first);
   }
   EXPECT_DOUBLE_EQ(curve.back().second, 1.0);
+}
+
+TEST(EcdfMergeSorted, IntoEmptyAdoptsTheRun) {
+  Ecdf ecdf;
+  ecdf.merge_sorted({1.0, 2.0, 2.0, 7.5});
+  EXPECT_EQ(ecdf.sorted(), (std::vector<double>{1.0, 2.0, 2.0, 7.5}));
+  EXPECT_TRUE(ecdf.invariants_ok());
+}
+
+TEST(EcdfMergeSorted, EmptyRunIsANoOp) {
+  Ecdf ecdf({3.0, 1.0, 2.0});
+  ecdf.merge_sorted({});
+  EXPECT_EQ(ecdf.sorted(), (std::vector<double>{1.0, 2.0, 3.0}));
+  Ecdf empty;
+  empty.merge_sorted({});
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST(EcdfMergeSorted, TiesAndInterleavingKeepOrder) {
+  Ecdf ecdf({1.0, 2.0, 2.0, 5.0, 9.0});
+  ecdf.merge_sorted({0.5, 2.0, 5.0, 5.0, 12.0});
+  EXPECT_EQ(ecdf.sorted(), (std::vector<double>{0.5, 1.0, 2.0, 2.0, 2.0, 5.0,
+                                                5.0, 5.0, 9.0, 12.0}));
+  // A run wholly below, then wholly above, the sample.
+  ecdf.merge_sorted({-1.0, 0.0});
+  ecdf.merge_sorted({20.0});
+  EXPECT_EQ(ecdf.size(), 13u);
+  EXPECT_EQ(ecdf.min(), -1.0);
+  EXPECT_EQ(ecdf.max(), 20.0);
+  EXPECT_TRUE(ecdf.invariants_ok());
+}
+
+TEST(EcdfMergeSorted, EqualsMergedOfTheParts) {
+  Xoshiro256 rng(77);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<double> a;
+    std::vector<double> b;
+    const std::size_t n = rng.bounded(300);
+    const std::size_t m = rng.bounded(300);
+    // Quantised draws force plenty of cross-part ties.
+    for (std::size_t i = 0; i < n; ++i) {
+      a.push_back(std::floor(rng.uniform(0.0, 40.0)));
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      b.push_back(std::floor(rng.uniform(0.0, 40.0)));
+    }
+    const Ecdf part_a(a);
+    Ecdf part_b(b);
+    const Ecdf* parts[] = {&part_a, &part_b};
+    const Ecdf expected = Ecdf::merged(parts);
+
+    Ecdf grown(a);
+    std::vector<double> run = b;
+    std::sort(run.begin(), run.end());
+    grown.merge_sorted(std::move(run));
+    ASSERT_EQ(grown.sorted(), expected.sorted()) << "round " << round;
+    EXPECT_EQ(grown.quantile(0.5), expected.quantile(0.5));
+    EXPECT_EQ(grown.quantile(0.95), expected.quantile(0.95));
+  }
+}
+
+TEST(EcdfMergeSorted, UnsortedRunThrowsAndLeavesTheSample) {
+  Ecdf ecdf({1.0, 2.0});
+  EXPECT_THROW(ecdf.merge_sorted({3.0, 1.0}), std::invalid_argument);
+  EXPECT_EQ(ecdf.sorted(), (std::vector<double>{1.0, 2.0}));
+  Ecdf empty;
+  EXPECT_THROW(empty.merge_sorted({2.0, 1.0}), std::invalid_argument);
+  EXPECT_TRUE(empty.empty());
 }
 
 // Property: for any sample, the interpolated (type-7) quantile satisfies
