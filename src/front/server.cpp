@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "front/transport/clock.hpp"
 #include "obs/metrics.hpp"
 
 namespace shears::front {
@@ -40,8 +41,26 @@ FrontServer::FrontServer(const serve::Oracle* oracle,
 }
 
 ConnId FrontServer::connect(std::uint64_t client_id) {
+  if (!free_conns_.empty()) {
+    const ConnId conn = free_conns_.back();
+    free_conns_.pop_back();
+    conns_[conn] = Conn{client_id, {}, {}};
+    return conn;
+  }
   conns_.push_back(Conn{client_id, {}, {}});
   return static_cast<ConnId>(conns_.size() - 1);
+}
+
+bool FrontServer::disconnect(ConnId conn) {
+  Conn& c = conns_[conn];
+  // Nobody will read these: they must not hold drained() false.
+  c.outputs.clear();
+  for (const Pending& p : queue_) {
+    if (p.conn == conn) return false;  // its batch would emit for `conn`
+  }
+  c = Conn{};
+  free_conns_.push_back(conn);
+  return true;
 }
 
 bool FrontServer::take_token(std::uint64_t client_id, SimTime now) {
@@ -206,7 +225,7 @@ std::optional<SimTime> FrontServer::next_batch_close() const {
   return close;
 }
 
-void FrontServer::run_batch(SimTime close) {
+void FrontServer::run_batch(SimTime close, Clock* wall) {
   // Requests already past their deadline at the close expire without
   // costing oracle compute or a batch slot. Sweeping them *before*
   // selection matters under sustained overload: left in place they
@@ -311,11 +330,13 @@ void FrontServer::run_batch(SimTime close) {
   for (const Pending& p : batch) live.push_back(&p);
 
   stats_.batches += 1;
-  const SimTime service_us =
+  const SimTime modelled_us =
       config_.batch_overhead_us +
       static_cast<SimTime>(live.size()) * config_.per_query_us;
-  const SimTime completion = close + service_us;
-  busy_until_ = completion;
+  // On a wall clock the batch starts when the executor reaches it (never
+  // before its close) and ends when the oracle returns.
+  const SimTime service_start =
+      wall != nullptr ? std::max(close, wall->now()) : close;
   note_queue_depth();
 
   std::vector<serve::Query> queries;
@@ -333,6 +354,17 @@ void FrontServer::run_batch(SimTime close) {
     }
     status = oracle_->try_answer(queries, answers);
   }
+  SimTime completion = close + modelled_us;
+  if (wall != nullptr) {
+    completion = std::max(service_start, wall->now());
+    if (instruments_.batch_cost_error_ms != nullptr) {
+      instruments_.batch_cost_error_ms->record(
+          (static_cast<double>(modelled_us) -
+           static_cast<double>(completion - service_start)) /
+          1000.0);
+    }
+  }
+  busy_until_ = completion;
 
   for (std::size_t i = 0; i < live.size(); ++i) {
     const Pending& p = *live[i];
@@ -361,11 +393,16 @@ void FrontServer::run_batch(SimTime close) {
   }
 }
 
-void FrontServer::run_until(SimTime now) {
+void FrontServer::run_until(SimTime now, Clock* clock) {
+  Clock* const wall =
+      clock != nullptr && clock->measures_wall_time() ? clock : nullptr;
   while (true) {
     const std::optional<SimTime> close = next_batch_close();
     if (!close.has_value() || *close > now) break;
-    run_batch(*close);
+    run_batch(*close, wall);
+    // On a wall clock the batch ended at a fresh reading, later than
+    // `now`: a batch closing by then is due as well.
+    if (wall != nullptr) now = std::max(now, busy_until_);
   }
 }
 
@@ -429,6 +466,8 @@ void FrontServer::attach_metrics(obs::MetricsRegistry* metrics) {
   instruments_.stale_refreshes = &metrics->counter("front.stale_refreshes");
   instruments_.queue_depth = &metrics->gauge("front.queue_depth");
   instruments_.service_ms = &metrics->histogram("front.service_ms");
+  instruments_.batch_cost_error_ms =
+      &metrics->histogram("front.batch_cost_error_ms");
 }
 
 }  // namespace shears::front

@@ -23,11 +23,14 @@
 //     instead of dying — the recoverable half of the kStale status.
 //
 // Determinism contract: the session layer runs on a simulated clock
-// (integer microseconds) and a single logical event loop. Service time
-// is a deterministic model (batch_overhead_us + per_query_us × n), not
-// wall time, so queue depths, shed counts and latency percentiles are
-// byte-identical across machines and oracle thread counts — the soak
-// test pins 1 vs 8 threads.
+// (integer microseconds) and a single logical event loop. Unless
+// run_until is handed a wall clock, a batch's service time is a
+// deterministic model (batch_overhead_us + per_query_us × n), so queue
+// depths, shed counts and latency percentiles are byte-identical across
+// machines and oracle thread counts — the soak test pins 1 vs 8
+// threads. On a wall clock (the socket transport's MonotonicClock) a
+// batch completes when the oracle actually returns, read from that
+// clock; admission and EDF batch sizing still predict with the model.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +51,8 @@ class MetricsRegistry;
 
 namespace shears::front {
 
+class Clock;
+
 struct FrontConfig {
   /// Bounded admission queue; arrivals beyond this shed kOverloaded.
   std::size_t queue_capacity = 1024;
@@ -60,8 +65,10 @@ struct FrontConfig {
   /// cuts the linger short).
   std::size_t max_batch = 256;
   SimTime batch_linger_us = 0;
-  /// Deterministic service-time model: a batch of n queries occupies the
-  /// executor for batch_overhead_us + n * per_query_us.
+  /// Service-time model: a batch of n queries occupies the executor for
+  /// batch_overhead_us + n * per_query_us. Admission and batch sizing
+  /// always predict with it; completion follows it unless run_until is
+  /// handed a wall clock.
   SimTime batch_overhead_us = 100;
   SimTime per_query_us = 2;
   /// Deadline stamped on requests that carry none; 0 = none.
@@ -103,7 +110,15 @@ class FrontServer {
               FrontConfig config = {});
 
   /// Opens a connection for a client; the id feeds the fairness bucket.
+  /// Reuses the id of a connection released by disconnect().
   [[nodiscard]] ConnId connect(std::uint64_t client_id);
+
+  /// Forgets a closed connection: drops its undelivered output, and
+  /// returns false while requests it sent are still queued — their
+  /// batches will run, so call again after they have. Returns true once
+  /// the connection's state is gone and its id free for reuse; must not
+  /// be called again for `conn` until connect() hands it out anew.
+  [[nodiscard]] bool disconnect(ConnId conn);
 
   /// Client→server bytes arriving at `now`. Frames are decoded
   /// incrementally; complete requests are admitted or shed immediately.
@@ -118,8 +133,13 @@ class FrontServer {
   /// differential transport tests.
   void ingest(ConnId conn, std::span<const std::uint8_t> bytes, SimTime now);
 
-  /// Runs every batch whose formation closes at or before `now`.
-  void run_until(SimTime now);
+  /// Runs every batch whose formation closes at or before `now`. When
+  /// `clock` measures wall time, completion is a measurement: each batch
+  /// ends at a reading taken after the oracle returns — its output ready
+  /// time and the executor's free time — and batches closing by the end
+  /// of the last one run too. Otherwise (nullptr, ManualClock) batches
+  /// end at the FrontConfig model's time.
+  void run_until(SimTime now, Clock* clock = nullptr);
 
   /// Earliest sim time at which the server has something to deliver or
   /// do: a pending output frame, or the close of the next batch.
@@ -140,7 +160,9 @@ class FrontServer {
   [[nodiscard]] bool drained() const noexcept;
 
   /// Publishes front.* counters / queue-depth gauge / service-latency
-  /// histogram. Observational only; nullptr detaches.
+  /// histogram, and on a wall clock front.batch_cost_error_ms: the
+  /// FrontConfig-predicted minus the measured time of each batch.
+  /// Observational only; nullptr detaches.
   void attach_metrics(obs::MetricsRegistry* metrics);
 
  private:
@@ -179,13 +201,15 @@ class FrontServer {
   /// Close time of the next batch given the queue head; nullopt when
   /// the queue is empty.
   [[nodiscard]] std::optional<SimTime> next_batch_close() const;
-  void run_batch(SimTime close);
+  /// `wall` is nullptr or a clock that measures wall time.
+  void run_batch(SimTime close, Clock* wall);
   void note_queue_depth();
 
   const serve::Oracle* oracle_;
   serve::ColumnarStore* store_;
   FrontConfig config_;
   std::vector<Conn> conns_;
+  std::vector<ConnId> free_conns_;  ///< disconnected ids, reused LIFO
   std::vector<Pending> queue_;  ///< arrival order; EDF-selected per batch
   std::vector<std::pair<std::uint64_t, TokenBucket>> buckets_;
   SimTime busy_until_ = 0;
@@ -205,6 +229,7 @@ class FrontServer {
     obs::Counter* stale_refreshes = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::LatencyHistogram* service_ms = nullptr;
+    obs::LatencyHistogram* batch_cost_error_ms = nullptr;
   };
   Instruments instruments_{};
 };

@@ -27,13 +27,16 @@ namespace {
 BlockingClient::~BlockingClient() { close(); }
 
 BlockingClient::BlockingClient(BlockingClient&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), eof_(other.eof_) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      eof_(other.eof_),
+      buf_(std::move(other.buf_)) {}
 
 BlockingClient& BlockingClient::operator=(BlockingClient&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     eof_ = other.eof_;
+    buf_ = std::move(other.buf_);
   }
   return *this;
 }
@@ -87,9 +90,9 @@ std::vector<std::uint8_t> BlockingClient::recv_some(int timeout_ms) {
     if (ready == 0) return {};
     break;
   }
-  std::vector<std::uint8_t> bytes(64 * 1024);
+  if (buf_.empty()) buf_.resize(64 * 1024);
   while (true) {
-    const ssize_t n = ::recv(fd_, bytes.data(), bytes.size(), 0);
+    const ssize_t n = ::recv(fd_, buf_.data(), buf_.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == ECONNRESET) {
@@ -102,8 +105,7 @@ std::vector<std::uint8_t> BlockingClient::recv_some(int timeout_ms) {
       eof_ = true;
       return {};
     }
-    bytes.resize(static_cast<std::size_t>(n));
-    return bytes;
+    return std::vector<std::uint8_t>(buf_.begin(), buf_.begin() + n);
   }
 }
 

@@ -28,8 +28,9 @@ class BlockingClient {
   /// Writes the whole buffer, blocking through partial writes.
   void send(std::span<const std::uint8_t> bytes);
 
-  /// Blocks up to `timeout_ms` for data; returns what arrived (empty on
-  /// timeout or EOF — check eof()).
+  /// Blocks up to `timeout_ms` for data; returns exactly the bytes that
+  /// arrived (empty on timeout or EOF — check eof()). Receives into a
+  /// buffer reused across calls.
   [[nodiscard]] std::vector<std::uint8_t> recv_some(int timeout_ms);
 
   /// Closes abruptly: SO_LINGER(0) turns the close into a TCP RST — the
@@ -44,6 +45,7 @@ class BlockingClient {
  private:
   int fd_ = -1;
   bool eof_ = false;
+  std::vector<std::uint8_t> buf_;  ///< receive buffer, sized on first use
 };
 
 }  // namespace shears::front

@@ -6,7 +6,7 @@
 // socket transport reuse the session layer unchanged: the epoll loop
 // reads its timestamps from a Clock instead of a traffic script.
 //
-// Two implementations:
+// Two implementations, told apart by measures_wall_time():
 //
 //   * ManualClock — time advances only when the owner says so. The
 //     differential transport tests drive the socket server with one of
@@ -14,11 +14,14 @@
 //     happens at exactly the recorded request stream's timestamps and
 //     the simulated session replays as the byte-exact oracle for the
 //     socket path (real TCP delivery jitter never reaches the session
-//     layer's notion of time).
+//     layer's notion of time). A batch served on it completes at the
+//     FrontConfig service model's time.
 //   * MonotonicClock — CLOCK_MONOTONIC microseconds since construction,
 //     the production adapter. Loopback benches share one instance
 //     between server and clients so deadlines and latency measurements
-//     live on a single timeline.
+//     live on a single timeline. A batch served on it completes when the
+//     oracle actually returns: the session layer reads this clock after
+//     the call instead of adding the modelled service time.
 #pragma once
 
 #include <chrono>
@@ -33,12 +36,19 @@ class Clock {
   virtual ~Clock() = default;
   /// Microseconds since this clock's epoch. Must never go backwards.
   [[nodiscard]] virtual SimTime now() = 0;
+  /// True when now() follows real elapsed time, so a reading taken after
+  /// a piece of work is that work's measured end. A property of the
+  /// clock's type, never of configuration.
+  [[nodiscard]] virtual bool measures_wall_time() const noexcept = 0;
 };
 
 /// Time under the caller's explicit control; starts at 0.
 class ManualClock final : public Clock {
  public:
   [[nodiscard]] SimTime now() override { return now_; }
+  [[nodiscard]] bool measures_wall_time() const noexcept override {
+    return false;
+  }
 
   /// Moves time forward to `t`; ignores moves backwards (the session
   /// layer's "now must not go backwards" contract stays intact even if
@@ -62,6 +72,9 @@ class MonotonicClock final : public Clock {
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - epoch_)
             .count());
+  }
+  [[nodiscard]] bool measures_wall_time() const noexcept override {
+    return true;
   }
 
  private:

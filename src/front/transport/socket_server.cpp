@@ -6,19 +6,17 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <limits>
 #include <span>
 
 namespace shears::front {
 
 namespace {
-
-constexpr SimTime kFarFuture = std::numeric_limits<SimTime>::max();
 
 [[noreturn]] void throw_errno(const char* what) {
   throw TransportError(std::string("transport: ") + what + ": " +
@@ -87,6 +85,7 @@ SocketServer::~SocketServer() {
     if (peer.open) ::close(peer.fd);
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (timer_fd_ >= 0) ::close(timer_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
@@ -103,6 +102,15 @@ void SocketServer::ensure_open() {
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0) {
     throw_errno("epoll_ctl(wakeup)");
   }
+  // The wait timeout: epoll_wait's own is whole milliseconds plus timer
+  // slack, a timerfd fires at the microsecond it is armed for.
+  timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
+  if (timer_fd_ < 0) throw_errno("timerfd_create");
+  ev.data.fd = timer_fd_;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &ev) < 0) {
+    throw_errno("epoll_ctl(timer)");
+  }
+  read_buf_.resize(config_.read_chunk);
 }
 
 std::uint16_t SocketServer::listen() {
@@ -198,10 +206,9 @@ void SocketServer::accept_ready() {
 void SocketServer::read_ready(int fd) {
   Peer& peer = peer_of(fd);
   if (!peer.open) return;
-  std::vector<std::uint8_t> chunk(config_.read_chunk);
   // Edge-triggered: drain the socket completely or the event is lost.
   while (true) {
-    const ssize_t n = ::read(fd, chunk.data(), chunk.size());
+    const ssize_t n = ::read(fd, read_buf_.data(), read_buf_.size());
     if (n > 0) {
       const SimTime now = clock_->now();
       peer.last_read_us = now;
@@ -210,7 +217,7 @@ void SocketServer::read_ready(int fd) {
       // (pump_session), never to TCP segmentation.
       server_->ingest(
           peer.conn,
-          std::span<const std::uint8_t>(chunk.data(),
+          std::span<const std::uint8_t>(read_buf_.data(),
                                         static_cast<std::size_t>(n)),
           now);
       continue;
@@ -296,7 +303,7 @@ void SocketServer::close_peer(int fd, std::uint64_t TransportStats::*cause) {
   peer.open = false;
   peer.outbox.clear();
   peer.out_pos = 0;
-  dead_conns_.push_back(peer.conn);
+  if (!server_->disconnect(peer.conn)) dead_conns_.push_back(peer.conn);
   open_connections_ -= 1;
   stats_.closed += 1;
   if (cause != nullptr) stats_.*cause += 1;
@@ -319,17 +326,19 @@ void SocketServer::sweep_idle(SimTime now) {
   }
 }
 
-void SocketServer::discard_dead_outputs() {
-  // Batches admitted before a disconnect may still emit frames for the
-  // dead connection; drop them so drained() can converge.
-  for (const ConnId conn : dead_conns_) {
-    (void)server_->take_output(conn, kFarFuture);
-  }
+void SocketServer::release_dead_conns() {
+  // Batches admitted before a disconnect still run and emit frames for
+  // the dead connection; the session layer drops them, and frees the id
+  // once nothing of the connection is left queued.
+  std::erase_if(dead_conns_,
+                [this](ConnId conn) { return server_->disconnect(conn); });
 }
 
 void SocketServer::pump_session() {
+  server_->run_until(clock_->now(), clock_);
+  // Read again: on a wall clock the batches just run finished after the
+  // first reading, and their answers must leave in this pump.
   const SimTime now = clock_->now();
-  server_->run_until(now);
   for (Peer& peer : peers_) {
     if (!peer.open) continue;
     std::vector<std::uint8_t> bytes = server_->take_output(peer.conn, now);
@@ -340,7 +349,7 @@ void SocketServer::pump_session() {
     }
     enqueue_output(peer.fd, std::move(bytes));
   }
-  discard_dead_outputs();
+  release_dead_conns();
 }
 
 bool SocketServer::drained() const {
@@ -351,7 +360,7 @@ bool SocketServer::drained() const {
   return true;
 }
 
-int SocketServer::wait_ms(SimTime max_wait_us) {
+SimTime SocketServer::wait_us(SimTime max_wait_us) {
   SimTime wait = max_wait_us;
   const SimTime now = clock_->now();
   if (config_.auto_pump) {
@@ -366,23 +375,41 @@ int SocketServer::wait_ms(SimTime max_wait_us) {
       wait = std::min(wait, deadline > now ? deadline - now : 0);
     }
   }
-  // Round up so a 1 us wait does not busy-spin as timeout 0.
-  const SimTime ms = wait == 0 ? 0 : (wait + 999) / 1000;
-  return static_cast<int>(std::min<SimTime>(ms, 60'000));
+  return std::min<SimTime>(wait, 60'000'000);
+}
+
+void SocketServer::arm_timer(SimTime wait) {
+  itimerspec spec{};
+  spec.it_value.tv_sec = static_cast<time_t>(wait / 1'000'000);
+  spec.it_value.tv_nsec = static_cast<long>(wait % 1'000'000) * 1'000;
+  // Re-arming also clears an expiry left over from an earlier wait.
+  if (::timerfd_settime(timer_fd_, 0, &spec, nullptr) < 0) {
+    throw_errno("timerfd_settime");
+  }
 }
 
 int SocketServer::poll(SimTime max_wait_us) {
   ensure_open();
   if (drain_requested_.load(std::memory_order_acquire)) close_listener();
 
+  const SimTime wait = wait_us(max_wait_us);
+  if (wait > 0) arm_timer(wait);
   epoll_event events[64];
-  int n = ::epoll_wait(epoll_fd_, events, 64, wait_ms(max_wait_us));
+  int n = ::epoll_wait(epoll_fd_, events, 64, wait > 0 ? -1 : 0);
   if (n < 0) {
     if (errno != EINTR) throw_errno("epoll_wait");
     n = 0;
   }
+  int handled = n;
   for (int i = 0; i < n; ++i) {
     const int fd = events[i].data.fd;
+    if (fd == timer_fd_) {
+      // The wait ran out: not an fd event for the caller.
+      std::uint64_t expiries = 0;
+      (void)!::read(timer_fd_, &expiries, sizeof(expiries));
+      handled -= 1;
+      continue;
+    }
     if (fd == wake_fd_) {
       std::uint64_t tickets = 0;
       (void)!::read(wake_fd_, &tickets, sizeof(tickets));
@@ -408,9 +435,8 @@ int SocketServer::poll(SimTime max_wait_us) {
     for (Peer& peer : peers_) {
       if (peer.open) close_peer(peer.fd, nullptr);
     }
-    discard_dead_outputs();
   }
-  return n;
+  return handled;
 }
 
 void SocketServer::run() {

@@ -21,12 +21,16 @@
 //     drained() predicate.
 //
 // Clock discipline: all timestamps handed to the session layer come
-// from the Clock seam. With a MonotonicClock this is a production
-// server; with a ManualClock the *differential tests* replay a recorded
-// request stream at exact timestamps and compare the socket path's
-// responses byte-for-byte against the simulated transport — TCP
-// delivery jitter cannot perturb the session layer's decisions because
-// the harness owns time (and, in manual-pump mode, batch formation).
+// from the Clock seam, and the transport hands the clock itself to
+// every FrontServer::run_until. With a MonotonicClock this is a
+// production server: batches complete when the oracle returns, and the
+// loop sleeps until the session layer's exact next activity (a timerfd
+// in the epoll set, armed to the microsecond). With a ManualClock the
+// *differential tests* replay a recorded request stream at exact
+// timestamps and compare the socket path's responses byte-for-byte
+// against the simulated transport — TCP delivery jitter cannot perturb
+// the session layer's decisions because the harness owns time (and, in
+// manual-pump mode, batch formation).
 //
 // Threading: the event loop is single-threaded. poll()/run() and every
 // accessor must be called from the owning thread; request_stop() and
@@ -116,14 +120,17 @@ class SocketServer {
   ConnId adopt(int fd, std::uint64_t client_id);
 
   /// One event-loop iteration: waits up to `max_wait_us` for socket
-  /// events (less when the session layer has earlier work), handles
-  /// accepts/reads/writes/timeouts, and — in auto_pump mode — pumps the
-  /// session layer. Returns the number of fd events handled.
+  /// events (less when the session layer has earlier work, to the
+  /// microsecond), handles accepts/reads/writes/timeouts, and — in
+  /// auto_pump mode — pumps the session layer. Returns the number of
+  /// fd events handled; 0 means the wait ran out.
   int poll(SimTime max_wait_us);
 
-  /// Runs batches due by clock->now(), collects server→client frames
-  /// into per-connection write buffers, and flushes as far as the
-  /// sockets accept. Called by poll() unless auto_pump is off.
+  /// Runs batches due by clock->now(), collects the server→client frames
+  /// ready by a second reading taken after them (so a batch that just
+  /// finished leaves now) into per-connection write buffers, and flushes
+  /// as far as the sockets accept. Called by poll() unless auto_pump is
+  /// off.
   void pump_session();
 
   /// Loops poll() until request_stop(), or until a requested drain
@@ -142,6 +149,11 @@ class SocketServer {
   [[nodiscard]] std::size_t connection_count() const noexcept {
     return open_connections_;
   }
+  /// Closed connections whose session-layer id is not yet released
+  /// because requests they sent are still queued.
+  [[nodiscard]] std::size_t closing_count() const noexcept {
+    return dead_conns_.size();
+  }
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] const TransportStats& stats() const noexcept { return stats_; }
 
@@ -156,7 +168,7 @@ class SocketServer {
     SimTime last_read_us = 0;          ///< idle-timeout anchor
   };
 
-  void ensure_open();  ///< lazily creates the epoll and wakeup fds
+  void ensure_open();  ///< lazily creates the epoll, wakeup and timer fds
   [[nodiscard]] Peer& peer_of(int fd);
   ConnId register_peer(int fd, std::uint64_t client_id);
   void accept_ready();
@@ -167,20 +179,27 @@ class SocketServer {
   void close_peer(int fd, std::uint64_t TransportStats::*cause);
   void close_listener();
   void sweep_idle(SimTime now);
-  /// Discards session output queued for connections that no longer
-  /// exist, so drained() converges after disconnects.
-  void discard_dead_outputs();
-  [[nodiscard]] int wait_ms(SimTime max_wait_us);
+  /// Releases closed connections from the session layer once none of
+  /// their requests is queued; their output is discarded, so drained()
+  /// converges after disconnects.
+  void release_dead_conns();
+  /// Microseconds until the next thing this loop must do, capped at
+  /// `max_wait_us`.
+  [[nodiscard]] SimTime wait_us(SimTime max_wait_us);
+  /// Arms the timerfd to fire `wait` (> 0) µs from now.
+  void arm_timer(SimTime wait);
 
   FrontServer* server_;
   Clock* clock_;
   TransportConfig config_;
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
+  int timer_fd_ = -1;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::vector<Peer> peers_;  ///< indexed by fd
-  std::vector<ConnId> dead_conns_;
+  std::vector<std::uint8_t> read_buf_;  ///< read_chunk bytes, reused
+  std::vector<ConnId> dead_conns_;  ///< closed, session state still held
   std::size_t open_connections_ = 0;
   std::uint64_t next_client_id_ = 0;  ///< accept-order fairness ids
   std::atomic<bool> stop_requested_{false};

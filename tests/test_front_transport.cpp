@@ -4,15 +4,21 @@
 // 8), under byte-stream torture (1-byte dribble, tiny-SO_SNDBUF partial
 // writes), and against malicious peers (oversized lengths, corrupted
 // magic, slowloris trickle, abrupt RST) — each attack confined to its
-// own connection.
+// own connection. Further cases pin what only a wall clock changes
+// (batches complete when the oracle returns, waits are µs-precise) and
+// that connection churn leaves no per-connection state behind.
 //
 // Every test that needs a kernel socket probes for the capability first
 // and skips (never fails) where the sandbox lacks socket(2).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -719,6 +725,209 @@ TEST(FrontTransportMalicious, AbruptResetIsConfinedToOneConnection) {
     got.insert(got.end(), raw.begin(), raw.end());
   }
   EXPECT_EQ(count_errors(got, ErrorCode::kBadRequest), 0u);
+}
+
+// ------------------------------------------------------- clock & wakeups
+
+/// A deterministic wall clock: every reading advances time by a fixed
+/// step, so "the instant the oracle returned" is an exact number.
+class SteppingClock final : public Clock {
+ public:
+  SteppingClock(SimTime start, SimTime step) : next_(start), step_(step) {}
+  [[nodiscard]] SimTime now() override {
+    last_ = next_;
+    next_ += step_;
+    return last_;
+  }
+  [[nodiscard]] bool measures_wall_time() const noexcept override {
+    return true;
+  }
+  /// The most recent reading handed out.
+  [[nodiscard]] SimTime last() const noexcept { return last_; }
+
+ private:
+  SimTime next_;
+  SimTime step_;
+  SimTime last_ = 0;
+};
+
+TEST(FrontTransportClock, WallClockBatchIsReadyWhenTheOracleReturns) {
+  World world(1);
+  const FrontConfig config;  // model: 100 us + 2 us/query
+  const SimTime modelled =
+      1'000 + config.batch_overhead_us + config.per_query_us;
+  // Two requests 1 us apart: the second misses the first batch's close.
+  const std::vector<std::uint8_t> first = request_bytes(1, 0, "DE");
+  const std::vector<std::uint8_t> second = request_bytes(2, 0, "FR");
+
+  // ManualClock does not measure wall time: the model stays in charge,
+  // and the second batch waits for the first one's modelled end.
+  {
+    FrontServer server(&world.oracle, &world.store, config);
+    ManualClock manual;
+    const ConnId conn = server.connect(0);
+    server.ingest(conn, first, 1'000);
+    server.ingest(conn, second, 1'001);
+    server.run_until(1'001, &manual);
+    EXPECT_EQ(server.queue_depth(), 1u);
+    EXPECT_EQ(server.next_activity(), std::optional<SimTime>(modelled));
+    EXPECT_TRUE(server.take_output(conn, modelled - 1).empty());
+    EXPECT_EQ(count_frames(server.take_output(conn, modelled),
+                           FrameType::kResponse),
+              1u);
+  }
+
+  // The same script on a wall clock: each batch is ready at the reading
+  // taken after its oracle call, not at close + 100 + 2n, and the second
+  // batch runs as soon as the first has ended.
+  {
+    FrontServer server(&world.oracle, &world.store, config);
+    SteppingClock clock(1'001, 3);
+    const ConnId conn = server.connect(0);
+    server.ingest(conn, first, 1'000);
+    server.ingest(conn, second, 1'001);
+    server.run_until(1'001, &clock);
+    const SimTime end = clock.last();
+    ASSERT_LT(end, modelled);
+    EXPECT_EQ(server.queue_depth(), 0u);
+    EXPECT_EQ(server.stats().batches, 2u);
+    const std::optional<SimTime> first_ready = server.next_activity();
+    ASSERT_TRUE(first_ready.has_value());
+    EXPECT_GT(*first_ready, SimTime{1'001});
+    EXPECT_LT(*first_ready, end);
+    EXPECT_TRUE(server.take_output(conn, *first_ready - 1).empty());
+    EXPECT_EQ(count_frames(server.take_output(conn, *first_ready),
+                           FrameType::kResponse),
+              1u);
+    EXPECT_EQ(server.next_activity(), std::optional<SimTime>(end));
+    EXPECT_EQ(
+        count_frames(server.take_output(conn, end), FrameType::kResponse),
+        1u);
+    EXPECT_EQ(server.stats().answered, 2u);
+  }
+}
+
+TEST(FrontTransportClock, SocketPumpDeliversABatchTheMomentItFinishes) {
+  if (!socketpair_available()) GTEST_SKIP() << "no socketpair here";
+  World world(1);
+  FrontServer server(&world.oracle, &world.store, FrontConfig{});
+  SteppingClock clock(0, 1);
+  TransportConfig tconfig;
+  tconfig.auto_pump = false;
+  SocketServer transport(&server, &clock, tconfig);
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  (void)transport.adopt(fds[0], 7);
+  BlockingClient client;
+  client.adopt(fds[1]);
+  const auto request = request_bytes(1, 7, "DE");
+  client.send(request);
+  poll_until(
+      transport,
+      [&] { return transport.stats().bytes_in >= request.size(); },
+      "request never arrived");
+  if (HasFatalFailure()) return;
+
+  // One pump runs the batch and sends its answer: the clock has moved
+  // a few microseconds, nowhere near the modelled 102.
+  transport.pump_session();
+  std::vector<std::uint8_t> got = client.recv_some(2'000);
+  ASSERT_FALSE(got.empty()) << "answer held back after its batch finished";
+  while (count_frames(got, FrameType::kResponse) < 1) {
+    const auto raw = client.recv_some(2'000);
+    ASSERT_FALSE(raw.empty()) << "partial response";
+    got.insert(got.end(), raw.begin(), raw.end());
+  }
+  EXPECT_LT(clock.last(), SimTime{100});
+}
+
+TEST(FrontTransportClock, IdlePollWaitsAreNotRoundedToMilliseconds) {
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets here";
+  World world(1);
+  FrontServer server(&world.oracle, &world.store, FrontConfig{});
+  MonotonicClock clock;
+  SocketServer transport(&server, &clock, TransportConfig{});
+  (void)transport.listen();
+
+  std::vector<double> waits_us;
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(transport.poll(200), 0);
+    waits_us.push_back(std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+  }
+  std::sort(waits_us.begin(), waits_us.end());
+  // The wait really happens (no busy return) and ends near 200 us, not
+  // at the next whole millisecond.
+  EXPECT_GE(waits_us.front(), 200.0);
+  EXPECT_LT(waits_us[waits_us.size() / 2], 1'000.0);
+}
+
+// ----------------------------------------------------- connection churn
+
+TEST(FrontTransport, ClosedConnectionsAreReleasedFromTheSessionLayer) {
+  if (!sockets_available()) GTEST_SKIP() << "no loopback sockets here";
+  World world(1);
+  FrontServer server(&world.oracle, &world.store, FrontConfig{});
+  ManualClock clock;
+  TransportConfig tconfig;
+  tconfig.auto_pump = false;  // requests stay queued until pumped
+  SocketServer transport(&server, &clock, tconfig);
+  const std::uint16_t port = transport.listen();
+
+  for (std::uint64_t cycle = 0; cycle < 200; ++cycle) {
+    BlockingClient peer;
+    peer.connect(port);
+    poll_until(
+        transport, [&] { return transport.connection_count() == 1; },
+        "accept");
+    if (HasFatalFailure()) return;
+    const auto request = request_bytes(cycle + 1, 0, "DE");
+    const std::uint64_t seen = transport.stats().bytes_in;
+    peer.send(request);
+    poll_until(
+        transport,
+        [&] { return transport.stats().bytes_in >= seen + request.size(); },
+        "request");
+    if (HasFatalFailure()) return;
+    const bool answer_first = cycle % 2 == 0;
+    if (answer_first) {
+      clock.advance_by(1'000);
+      transport.pump_session();
+      std::vector<std::uint8_t> got;
+      while (count_frames(got, FrameType::kResponse) < 1) {
+        const auto raw = peer.recv_some(2'000);
+        ASSERT_FALSE(raw.empty()) << "no response in cycle " << cycle;
+        got.insert(got.end(), raw.begin(), raw.end());
+      }
+    }
+    peer.close();
+    poll_until(
+        transport, [&] { return transport.connection_count() == 0; },
+        "close");
+    if (HasFatalFailure()) return;
+    // A request still queued pins the closed connection until its batch
+    // has run; nothing else does.
+    EXPECT_EQ(transport.closing_count(), answer_first ? 0u : 1u)
+        << "cycle " << cycle;
+    clock.advance_by(1'000);
+    transport.pump_session();
+    EXPECT_EQ(transport.closing_count(), 0u) << "cycle " << cycle;
+  }
+  transport.request_drain();
+  transport.run();
+  EXPECT_EQ(transport.closing_count(), 0u);
+  EXPECT_TRUE(server.drained());
+  EXPECT_EQ(server.stats().answered, 200u);
+  EXPECT_EQ(transport.stats().closed, 200u);
+
+  // The session layer reused the freed ids instead of growing.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  EXPECT_LE(transport.adopt(fds[0], 1), ConnId{1});
+  ::close(fds[1]);
 }
 
 // --------------------------------------------------------------- drain
