@@ -1,15 +1,14 @@
 // Microbenchmarks for topology queries and campaign-engine throughput,
-// plus the perf-regression headline: a full-fleet campaign timed with the
-// sampling cache off (the original per-packet recomputing engine) and on,
-// asserting the two datasets are byte-identical and recording the speedup
-// in the bench JSON (see bench_common.hpp).
+// plus the telemetry gate: a full-fleet campaign timed plain and with a
+// MetricsRegistry attached, asserting the two datasets are byte-identical
+// and recording the throughput and the overhead in the bench JSON (see
+// bench_common.hpp).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 #include "atlas/campaign.hpp"
 #include "atlas/placement.hpp"
@@ -63,28 +62,6 @@ void BM_CampaignDay(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignDay)->Unit(benchmark::kMillisecond);
 
-void BM_CampaignDayUncached(benchmark::State& state) {
-  // The same day with the sampling cache disabled: the per-packet
-  // recomputing engine this optimisation replaced. The pair
-  // BM_CampaignDay / BM_CampaignDayUncached is the quick regression view
-  // of the cache speedup.
-  const auto fleet = atlas::ProbeFleet::generate({});
-  const auto registry = topology::CloudRegistry::campaign_footprint();
-  const net::LatencyModel model;
-  atlas::CampaignConfig config;
-  config.duration_days = 1;
-  config.threads = 1;
-  config.sampling_cache = false;
-  const atlas::Campaign campaign(fleet, registry, model, config);
-  for (auto _ : state) {
-    auto dataset = campaign.run();
-    benchmark::DoNotOptimize(dataset);
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(dataset.size()));
-  }
-}
-BENCHMARK(BM_CampaignDayUncached)->Unit(benchmark::kMillisecond);
-
 void BM_CampaignDayParallel(benchmark::State& state) {
   const auto fleet = atlas::ProbeFleet::generate({});
   const auto registry = topology::CloudRegistry::campaign_footprint();
@@ -102,127 +79,19 @@ void BM_CampaignDayParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_CampaignDayParallel)->Unit(benchmark::kMillisecond);
 
-/// The acceptance run: one full-fleet campaign of SHEARS_BENCH_DAYS days
-/// (default 30; 270 reproduces the paper's nine-month scale), timed with
-/// the sampling cache off and on. Both datasets must match byte for byte
-/// — the cache is a pure hot-path optimisation — and the speedup is
-/// recorded under `campaign_cache_speedup` in the bench JSON.
-int run_cache_comparison() {
-  using clock = std::chrono::steady_clock;
-  int days = 30;
-  if (const char* env = std::getenv("SHEARS_BENCH_DAYS")) {
-    if (const int v = std::atoi(env); v > 0) days = v;
-  }
-  int repeats = 5;
-  if (const char* env = std::getenv("SHEARS_BENCH_REPEATS")) {
-    if (const int v = std::atoi(env); v > 0) repeats = v;
-  }
-
-  const auto fleet = atlas::ProbeFleet::generate({});
-  const auto registry = topology::CloudRegistry::campaign_footprint();
-  const net::LatencyModel model;
-  atlas::CampaignConfig config;
-  config.duration_days = days;
-  config.threads = 1;  // the ratio is about work per burst, not cores
-
-  config.sampling_cache = false;
-  const atlas::Campaign uncached(fleet, registry, model, config);
-  config.sampling_cache = true;
-  auto start = clock::now();
-  const atlas::Campaign cached(fleet, registry, model, config);
-  const double cache_build_s =
-      std::chrono::duration<double>(clock::now() - start).count();
-
-  // Each repetition times the two engines back to back and contributes
-  // one pairwise ratio; the median pair survives machine-load swings that
-  // a single A/B run (or even per-mode minima taken at distant times)
-  // does not. The order alternates between pairs so that neither engine
-  // systematically occupies the thermally-throttled slot right after the
-  // other's long run. Wall clocks are reported as per-mode minima.
-  double uncached_s = 1e300;
-  double cached_s = 1e300;
-  std::vector<double> ratios;
-  std::size_t measurements = 0;
-  bool identical = true;
-  for (int r = 0; r < repeats; ++r) {
-    double u = 0.0;
-    double c = 0.0;
-    const auto time_uncached = [&] {
-      start = clock::now();
-      auto ds = uncached.run();
-      u = std::chrono::duration<double>(clock::now() - start).count();
-      return ds;
-    };
-    const auto time_cached = [&] {
-      start = clock::now();
-      auto ds = cached.run();
-      c = std::chrono::duration<double>(clock::now() - start).count();
-      return ds;
-    };
-    if (r % 2 == 0) {
-      const auto reference = time_uncached();
-      const auto dataset = time_cached();
-      measurements = dataset.size();
-      if (r == 0) {
-        identical = dataset.size() == reference.size();
-        for (std::size_t i = 0; identical && i < dataset.size(); ++i) {
-          const atlas::Measurement& a = dataset.records()[i];
-          const atlas::Measurement& b = reference.records()[i];
-          identical = a.probe_id == b.probe_id &&
-                      a.region_index == b.region_index && a.tick == b.tick &&
-                      a.min_ms == b.min_ms && a.avg_ms == b.avg_ms &&
-                      a.max_ms == b.max_ms && a.sent == b.sent &&
-                      a.received == b.received && a.retries == b.retries &&
-                      a.faults == b.faults;
-        }
-      }
-    } else {
-      const auto dataset = time_cached();
-      const auto reference = time_uncached();
-      measurements = dataset.size();
-    }
-    uncached_s = std::min(uncached_s, u);
-    cached_s = std::min(cached_s, c);
-    ratios.push_back(c > 0.0 ? u / c : 0.0);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  // Headline: ratio of per-mode minima — noise on a shared box only ever
-  // adds time, so each mode's fastest run is its best noise-free
-  // estimate. The median per-pair ratio rides along as a drift-robust
-  // cross-check.
-  const double speedup = cached_s > 0.0 ? uncached_s / cached_s : 0.0;
-  const double pair_speedup = ratios[ratios.size() / 2];
-
-  const auto items = static_cast<double>(measurements);
-  bench::bench_record("campaign_uncached", uncached_s, items);
-  bench::bench_record("campaign_cached", cached_s, items);
-  bench::bench_record_value("campaign_cache_build_seconds", cache_build_s);
-  bench::bench_record_value("campaign_cache_speedup", speedup);
-  bench::bench_record_value("campaign_cache_speedup_median_pair",
-                            pair_speedup);
-  bench::bench_record_value("campaign_cache_identical", identical ? 1.0 : 0.0);
-
-  std::printf(
-      "\ncache comparison (%d days, %zu measurements, 1 thread, %d pairs)\n"
-      "  uncached: %.3f s  (%.0f measurements/s)\n"
-      "  cached:   %.3f s  (%.0f measurements/s)  + %.3f s one-time cache "
-      "build\n"
-      "  speedup:  %.2fx (per-mode minima; median pair %.2fx)   datasets "
-      "%s\n",
-      days, measurements, repeats, uncached_s, items / uncached_s, cached_s,
-      items / cached_s, cache_build_s, speedup, pair_speedup,
-      identical ? "byte-identical" : "DIVERGED");
-  return identical ? 0 : 1;
-}
-
-/// The observability gate: the same cached campaign timed with no
-/// registry attached and with full instrumentation (attach_metrics), in
-/// alternating pairs with per-mode minima like run_cache_comparison.
+/// The observability gate: one full-fleet campaign of SHEARS_BENCH_DAYS
+/// days (default 30; 270 reproduces the paper's nine-month scale) timed
+/// with no registry attached and with full instrumentation
+/// (attach_metrics), in alternating pairs so that neither mode always
+/// runs in the slot right after the other's long run, reporting per-mode
+/// minima (noise on a shared box only ever adds time).
 /// Asserts the two datasets are byte-identical — metrics must observe,
 /// never perturb — and that the instrumented run costs at most
 /// SHEARS_TELEMETRY_GATE_PCT percent throughput (default 2; the perf
 /// smoke test raises it to 50 because a 2-day run is noise-dominated).
-/// Records campaign_telemetry_overhead_pct / campaign_telemetry_identical.
+/// Records campaign_cached (the plain run, the engine's single-thread
+/// throughput), campaign_instrumented, campaign_telemetry_overhead_pct
+/// and campaign_telemetry_identical.
 int run_telemetry_overhead() {
   using clock = std::chrono::steady_clock;
   int days = 30;
@@ -300,6 +169,7 @@ int run_telemetry_overhead() {
   const bool within_gate = overhead_pct <= gate_pct;
 
   const auto items = static_cast<double>(measurements);
+  bench::bench_record("campaign_cached", plain_s, items);
   bench::bench_record("campaign_instrumented", instrumented_s, items);
   bench::bench_record_value("campaign_telemetry_overhead_pct", overhead_pct);
   bench::bench_record_value("campaign_telemetry_identical",
@@ -323,7 +193,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  const int cache_rc = run_cache_comparison();
-  const int telemetry_rc = run_telemetry_overhead();
-  return cache_rc != 0 || telemetry_rc != 0 ? 1 : 0;
+  return run_telemetry_overhead();
 }

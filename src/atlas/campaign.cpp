@@ -27,6 +27,17 @@ net::PingResult lost_burst(int packets) noexcept {
   return result;
 }
 
+/// Validates the engine's inputs before the constructor spends time
+/// building the sampling cache from them.
+const CampaignConfig& checked(const CampaignConfig& config,
+                              const topology::CloudRegistry& registry) {
+  config.validate();
+  if (registry.size() > 0xFFFF) {
+    throw std::invalid_argument("Campaign: registry too large for index type");
+  }
+  return config;
+}
+
 }  // namespace
 
 void CampaignConfig::validate() const {
@@ -81,12 +92,9 @@ Campaign::Campaign(const ProbeFleet& fleet,
                    const topology::CloudRegistry& registry,
                    const net::LatencyModel& model, CampaignConfig config,
                    const faults::FaultSchedule* schedule)
-    : fleet_(&fleet), registry_(&registry), model_(&model), config_(config),
-      schedule_(schedule) {
-  config_.validate();
-  if (registry.size() > 0xFFFF) {
-    throw std::invalid_argument("Campaign: registry too large for index type");
-  }
+    : fleet_(&fleet), registry_(&registry), model_(&model),
+      config_(checked(config, registry)), schedule_(schedule),
+      cache_(fleet, registry, model, config_.threads) {
   // Precompute the per-continent target lists once.
   const auto& regions = registry_->regions();
   for (const geo::Continent c : geo::kAllContinents) {
@@ -103,9 +111,6 @@ Campaign::Campaign(const ProbeFleet& fleet,
         }
       }
     }
-  }
-  if (config_.sampling_cache) {
-    cache_ = PathCache(fleet, registry, model, config_.threads);
   }
 }
 
@@ -132,8 +137,8 @@ std::size_t Campaign::expected_record_count() const {
 }
 
 bool Campaign::batched_eligible() const noexcept {
-  return config_.batched && !cache_.empty() &&
-         config_.retry.max_retries == 0 && !config_.quarantine.enabled &&
+  return config_.batched && config_.retry.max_retries == 0 &&
+         !config_.quarantine.enabled &&
          config_.packets_per_ping <= net::kMaxBatchedPackets;
 }
 
@@ -147,16 +152,14 @@ void Campaign::run_probe_range(std::size_t begin, std::size_t end,
   stats::Xoshiro256 root(config_.seed);
   const std::uint32_t ticks = tick_count();
   const auto probes = fleet_->probes();
-  const auto& regions = registry_->regions();
   const bool has_faults = schedule_ != nullptr && !schedule_->empty();
   const bool has_retry = config_.retry.max_retries > 0;
   const bool has_quarantine = config_.quarantine.enabled;
   const std::uint8_t skew_bit = faults::fault_bit(faults::FaultKind::kClockSkew);
-  const bool use_cache = !cache_.empty();
   // The UTC hour repeats with the tick phase: (tick * interval) mod 24
-  // cycles with period 24 / gcd(interval, 24) <= 24, so cached runs look
-  // the diurnal load up from a small per-probe table instead of
-  // re-evaluating the raised cosine per burst.
+  // cycles with period 24 / gcd(interval, 24) <= 24, so the diurnal load
+  // comes from a small per-probe table instead of re-evaluating the
+  // raised cosine per burst.
   const auto diurnal_period = static_cast<std::uint32_t>(
       24 / std::gcd(config_.interval_hours, 24));
 
@@ -182,15 +185,12 @@ void Campaign::run_probe_range(std::size_t begin, std::size_t end,
     // The probe's last mile carries a temporally-correlated congestion
     // level, advanced once per tick.
     net::CongestionState congestion(model_->config(), rng);
-    const net::CachedProfile* cached_profile =
-        use_cache ? &cache_.profile(probe.id) : nullptr;
+    const net::CachedProfile* cached_profile = &cache_.profile(probe.id);
     std::array<double, 24> diurnal_by_phase{};
-    if (use_cache) {
-      for (std::uint32_t k = 0; k < diurnal_period; ++k) {
-        const double utc_hour = static_cast<double>(
-            (static_cast<std::uint64_t>(k) * config_.interval_hours) % 24);
-        diurnal_by_phase[k] = model_->diurnal_load(probe.endpoint, utc_hour);
-      }
+    for (std::uint32_t k = 0; k < diurnal_period; ++k) {
+      const double utc_hour = static_cast<double>(
+          (static_cast<std::uint64_t>(k) * config_.interval_hours) % 24);
+      diurnal_by_phase[k] = model_->diurnal_load(probe.endpoint, utc_hour);
     }
 
     // Rolling rotation cursor: (rotation + tick * per_tick) % targets.size()
@@ -204,7 +204,7 @@ void Campaign::run_probe_range(std::size_t begin, std::size_t end,
       if (slot_base >= targets.size()) slot_base -= targets.size();
     };
 
-    if (use_cache && !has_faults && !has_retry && !has_quarantine &&
+    if (!has_faults && !has_retry && !has_quarantine &&
         config_.probe_uptime >= 1.0) {
       // Fault-free cached fast path — the perf-critical configuration (the
       // paper's campaigns inject no faults). Skipping the exposure /
@@ -298,44 +298,19 @@ void Campaign::run_probe_range(std::size_t begin, std::size_t end,
                                            exposure.skew_ms,
                                            exposure.extra_loss}
                        : net::Perturbation{};
-        if (use_cache) {
-          // Same diurnal value as the recomputed one: the phase table
-          // holds model_->diurnal_load for every reachable utc_hour.
-          ++telemetry.bursts_cached;
-          const double load = diurnal_by_phase[attempt_tick % diurnal_period] *
-                              temporal_load * exposure.load_multiplier;
-          return model_->ping_cached(cache_.path(probe.id, region_index),
-                                     *cached_profile, config_.packets_per_ping,
-                                     load, perturbation, stream);
-        }
-        const double utc_hour = static_cast<double>(
-            (static_cast<std::uint64_t>(attempt_tick) *
-             config_.interval_hours) % 24);
-        const double load = model_->diurnal_load(probe.endpoint, utc_hour) *
+        // The phase table holds model_->diurnal_load for every
+        // reachable utc_hour, retry ticks included.
+        ++telemetry.bursts_cached;
+        const double load = diurnal_by_phase[attempt_tick % diurnal_period] *
                             temporal_load * exposure.load_multiplier;
-        if (!has_faults) {
-          return model_->ping_loaded(probe.endpoint, *regions[region_index],
-                                     config_.packets_per_ping, load, stream);
-        }
-        return model_->ping_perturbed(probe.endpoint, *regions[region_index],
-                                      config_.packets_per_ping, load,
-                                      perturbation, stream);
+        return model_->ping_cached(cache_.path(probe.id, region_index),
+                                   *cached_profile, config_.packets_per_ping,
+                                   load, perturbation, stream);
       };
 
       for (std::size_t j = 0; j < per_tick; ++j) {
-        std::size_t slot;
-        if (use_cache) {
-          slot = slot_base + j;
-          if (slot >= targets.size()) slot -= targets.size();
-        } else {
-          // The uncached engine is the benchmark baseline: it keeps the
-          // original modulo addressing (one 64-bit division per burst)
-          // that the rolling cursor above replaces. Equal by construction
-          // — slot_base == (rotation + tick * per_tick) mod size — so this
-          // only preserves the pre-change cost, not different slots.
-          slot = (rotation + static_cast<std::size_t>(tick) * per_tick + j) %
-                 targets.size();
-        }
+        std::size_t slot = slot_base + j;
+        if (slot >= targets.size()) slot -= targets.size();
         const std::uint16_t region_index = targets[slot];
         std::uint8_t mask = 0;
         net::PingResult ping = sample_attempt(tick, region_index, rng, mask);
@@ -429,30 +404,16 @@ MeasurementDataset Campaign::run(CampaignTelemetry& telemetry) const {
   }
 
   telemetry = CampaignTelemetry{};
-  if (!cache_.empty()) {
-    // Single-shard runs hand their buffer over wholesale; a nine-month
-    // fleet dataset is ~110 MB, not worth copying.
-    std::vector<Measurement> records = std::move(shards[0]);
-    telemetry.merge(shard_telemetry[0]);
-    if (shards.size() > 1) {
-      records.reserve(expected_record_count());
-      for (unsigned t = 1; t < shards.size(); ++t) {
-        records.insert(records.end(), shards[t].begin(), shards[t].end());
-        telemetry.merge(shard_telemetry[t]);
-      }
+  // Single-shard runs hand their buffer over wholesale; a nine-month
+  // fleet dataset is ~110 MB, not worth copying.
+  std::vector<Measurement> records = std::move(shards[0]);
+  telemetry.merge(shard_telemetry[0]);
+  if (shards.size() > 1) {
+    records.reserve(expected_record_count());
+    for (unsigned t = 1; t < shards.size(); ++t) {
+      records.insert(records.end(), shards[t].begin(), shards[t].end());
+      telemetry.merge(shard_telemetry[t]);
     }
-    publish_metrics(telemetry, run_start);
-    if (sink_ != nullptr) sink_->publish(records);
-    return MeasurementDataset(fleet_, registry_, std::move(records));
-  }
-  // Uncached runs are the benchmark baseline and keep the pre-change
-  // assembly (reserve + copy every shard) so the recorded speedup compares
-  // against what the engine actually cost before this optimisation.
-  std::vector<Measurement> records;
-  records.reserve(expected_record_count());
-  for (unsigned t = 0; t < shards.size(); ++t) {
-    records.insert(records.end(), shards[t].begin(), shards[t].end());
-    telemetry.merge(shard_telemetry[t]);
   }
   publish_metrics(telemetry, run_start);
   if (sink_ != nullptr) sink_->publish(records);

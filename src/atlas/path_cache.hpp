@@ -6,8 +6,9 @@
 // precomputed once — in parallel — instead of once per packet. The cache
 // holds a flat row-major matrix (probe-major: one contiguous row of
 // CachedPath per probe) plus one CachedProfile per probe. It is RNG-free
-// by construction, so campaigns sampling through it are byte-identical to
-// the recomputing engine and invariant across thread counts.
+// by construction, so bursts sampled through it are byte-identical to the
+// per-packet reference sampler (LatencyModel::ping_perturbed) and
+// campaigns stay invariant across thread counts.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +22,6 @@ namespace shears::atlas {
 
 class PathCache {
  public:
-  /// An empty cache (campaigns running with the cache disabled).
-  PathCache() = default;
-
   /// Precomputes the full probe × region matrix with `threads` workers
   /// (0 = hardware concurrency). `fleet`, `registry`, and `model` are only
   /// read during construction; the cache owns its entries.

@@ -4,12 +4,15 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "atlas/campaign.hpp"
+#include "atlas/path_cache.hpp"
 #include "check/property.hpp"
 #include "core/analysis.hpp"
 #include "faults/fault_schedule.hpp"
@@ -20,6 +23,7 @@
 #include "serve/columnar.hpp"
 #include "serve/reference.hpp"
 #include "serve/snapshot.hpp"
+#include "stats/rng.hpp"
 
 namespace shears::check {
 
@@ -49,15 +53,91 @@ bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
 
 }  // namespace
 
-void check_cached_vs_uncached(const World& world) {
-  atlas::CampaignConfig config = world.campaign;
-  config.sampling_cache = true;
-  const atlas::MeasurementDataset cached = world.run_with(config);
-  config.sampling_cache = false;
-  const atlas::MeasurementDataset uncached = world.run_with(config);
-  require_identical(world, cached, uncached, "cached vs uncached engine");
-  if (dataset_checksum(cached) != dataset_checksum(uncached)) {
-    fail(world, "cached vs uncached engine: checksums diverge");
+namespace {
+
+// The structs compared bitwise below hold no padding bytes.
+static_assert(sizeof(net::CachedPath) == 7 * sizeof(double));
+static_assert(sizeof(net::CachedProfile) == 7 * sizeof(double));
+static_assert(sizeof(net::PingResult) == 2 * sizeof(int) + 3 * sizeof(double));
+
+/// Field-for-field bitwise equality (-0.0 and NaN payloads included).
+template <typename T>
+bool same_bits(const T& a, const T& b) noexcept {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Salt separating the oracle's knob stream from its sampling stream.
+constexpr std::uint64_t kKnobStreamSalt = 0x5bd1e9955bd1e995ULL;
+
+}  // namespace
+
+void check_cached_sampling(const World& world) {
+  const auto& regions = world.registry.regions();
+  const net::LatencyModel& model = world.model;
+  // Several workers: the parallel fill must not change any entry.
+  const atlas::PathCache cache(world.fleet, world.registry, model, 3);
+  // Per-burst knobs: load (now and then extreme enough to clamp the
+  // bloat probability at 1), perturbation (neutral, flap-like,
+  // skew-like with negative offsets, or all at once), 1-4 packets.
+  stats::Xoshiro256 knobs(world.campaign.seed ^ kKnobStreamSalt);
+  // One sampling stream, three consumers: the per-packet reference, the
+  // cached kernel, and the neutral overload the fault-free campaign
+  // loop runs. Each must consume exactly the same draws.
+  stats::Xoshiro256 reference(world.campaign.seed);
+  stats::Xoshiro256 cached = reference;
+  stats::Xoshiro256 neutral = reference;
+  std::size_t pair = 0;
+  for (const atlas::Probe& probe : world.fleet.probes()) {
+    const net::Endpoint& src = probe.endpoint;
+    const net::CachedProfile& profile = cache.profile(probe.id);
+    if (!same_bits(profile, model.cache_profile(src))) {
+      fail(world, "cached sampling: profile differs from cache_profile at "
+                  "probe " + std::to_string(probe.id));
+    }
+    for (std::size_t ri = 0; ri < regions.size(); ++ri, ++pair) {
+      const auto at = [&](const char* what) {
+        fail(world, std::string("cached sampling: ") + what + " at probe " +
+                        std::to_string(probe.id) + " x region " +
+                        std::to_string(ri));
+      };
+      const topology::CloudRegion& dst = *regions[ri];
+      const net::CachedPath& path =
+          cache.path(probe.id, static_cast<std::uint16_t>(ri));
+      if (&cache.paths(probe.id)[ri] != &path ||
+          !same_bits(path, model.cache_path(src, dst))) {
+        at("path differs from cache_path");
+      }
+
+      const int packets = 1 + static_cast<int>(pair % 4);
+      const double load =
+          knobs.bounded(16) == 0 ? 50.0 : knobs.uniform(0.2, 4.0);
+      net::Perturbation pert;
+      const std::uint64_t kind = knobs.bounded(4);
+      if (kind == 1 || kind == 3) {
+        pert.latency_scale = knobs.uniform(1.0, 3.0);
+        pert.extra_loss = knobs.uniform(0.0, 0.3);
+      }
+      if (kind >= 2) pert.offset_ms = knobs.uniform(-60.0, 60.0);
+
+      const net::PingResult expected =
+          model.ping_perturbed(src, dst, packets, load, pert, reference);
+      if (!same_bits(model.ping_cached(path, profile, packets, load, pert,
+                                       cached),
+                     expected)) {
+        at("ping_cached differs from ping_perturbed");
+      }
+      if (!same_bits(pert.neutral()
+                         ? model.ping_cached(path, profile, packets, load,
+                                             neutral)
+                         : model.ping_cached(path, profile, packets, load,
+                                             pert, neutral),
+                     expected)) {
+        at("neutral ping_cached differs from ping_perturbed");
+      }
+      stats::Xoshiro256 r = reference, c = cached, n = neutral;
+      const std::uint64_t next = r.next();
+      if (c.next() != next || n.next() != next) at("RNG streams misaligned");
+    }
   }
 }
 
@@ -145,7 +225,6 @@ void check_batched_vs_scalar(const World& world) {
   // with churn enabled the up/down realisations would desync and the
   // record *structure* — which this oracle holds exactly — would
   // legitimately differ.
-  config.sampling_cache = true;
   config.retry = faults::RetryPolicy{};
   config.quarantine = faults::QuarantinePolicy{};
   config.probe_uptime = 1.0;

@@ -1,8 +1,9 @@
 // Differential oracles: two independent paths through the stack must
-// agree bit for bit on the same generated world. Each oracle throws
-// PropertyFailure (with the world summary and the first divergence) when
-// the two sides disagree; the property runner turns that into a
-// seed-replayable counterexample.
+// agree on the same generated world — bit for bit, except where an
+// oracle documents an epsilon (the lane-batched engine). Each oracle
+// throws PropertyFailure (with the world summary and the first
+// divergence) when the two sides disagree; the property runner turns
+// that into a seed-replayable counterexample.
 #pragma once
 
 #include "atlas/measurement.hpp"
@@ -10,9 +11,14 @@
 
 namespace shears::check {
 
-/// ping_cached vs ping: the precomputed sampling cache must be
-/// byte-identical to the per-packet recomputing engine.
-void check_cached_vs_uncached(const World& world);
+/// The sampling cache against the per-packet reference, on every probe ×
+/// region pair of the world: each atlas::PathCache entry must equal
+/// cache_path / cache_profile field for field, and ping_cached (both the
+/// perturbed and the neutral overload) must equal ping_perturbed under
+/// varied load, perturbation (neutral included) and 1-4 packets, with
+/// the RNG streams still aligned after every burst. The campaign loop
+/// itself is pinned by the golden checksums in test_sampling_cache.
+void check_cached_sampling(const World& world);
 
 /// Campaign determinism across worker counts: 1 thread vs 8 threads.
 void check_campaign_thread_invariance(const World& world);

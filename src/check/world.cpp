@@ -116,7 +116,6 @@ atlas::CampaignConfig make_campaign_config(Gen& gen) {
   config.probe_uptime = gen.chance(0.7) ? 1.0 : gen.real_in(0.5, 1.0);
   config.seed = gen.u64();
   config.threads = 1;
-  config.sampling_cache = true;
   if (gen.chance(0.3)) {
     config.retry.max_retries = gen.int_in(1, 2);
     config.retry.backoff_cap_ticks =
@@ -326,11 +325,11 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
+/// One FNV-1a step per field value (not per byte): the digest the
+/// golden checksums were captured with.
 void mix(std::uint64_t& h, std::uint64_t value) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (value >> (8 * i)) & 0xFF;
-    h *= kFnvPrime;
-  }
+  h ^= value;
+  h *= kFnvPrime;
 }
 
 void mix_float(std::uint64_t& h, float value) noexcept {

@@ -77,7 +77,9 @@ struct World {
                                                      std::size_t count);
 
 /// Order-sensitive FNV-1a checksum over every record field (floats by bit
-/// pattern) — the byte-identity yardstick of the differential oracles.
+/// pattern, one step per field) — the byte-identity yardstick of the
+/// differential oracles and of the golden checksums that pin the
+/// campaign engine (test_sampling_cache, test_obs).
 [[nodiscard]] std::uint64_t dataset_checksum(
     const atlas::MeasurementDataset& dataset) noexcept;
 

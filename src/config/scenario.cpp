@@ -16,7 +16,7 @@ const std::set<std::string>& allowed_keys() {
       "fleet.privileged_fraction",
       "campaign.days", "campaign.interval_hours", "campaign.packets",
       "campaign.targets_per_tick", "campaign.uptime", "campaign.seed",
-      "campaign.threads", "campaign.sampling_cache",
+      "campaign.threads",
       "model.wireless_scale", "model.excess_fraction", "model.excess_spread",
       "model.spike_probability", "model.core_loss_rate",
       "model.diurnal_amplitude", "model.diurnal_peak_hour",
@@ -126,8 +126,6 @@ Scenario parse_scenario(std::istream& is) {
       ini.get_int("campaign", "seed", static_cast<long>(s.campaign.seed)));
   s.campaign.threads = static_cast<unsigned>(
       ini.get_int("campaign", "threads", s.campaign.threads));
-  s.campaign.sampling_cache = ini.get_bool("campaign", "sampling_cache",
-                                           s.campaign.sampling_cache);
   check_range(s.campaign.duration_days > 0, "campaign.days");
   check_range(s.campaign.interval_hours > 0 && s.campaign.interval_hours <= 24,
               "campaign.interval_hours");
@@ -373,9 +371,7 @@ std::string default_scenario_text() {
       << "targets_per_tick = " << s.campaign.targets_per_tick << "\n"
       << "uptime = " << s.campaign.probe_uptime << "\n"
       << "seed = " << s.campaign.seed << "\n"
-      << "threads = " << s.campaign.threads << "  ; 0 = hardware\n"
-      << "sampling_cache = " << (s.campaign.sampling_cache ? "true" : "false")
-      << "  ; precompute probe x region paths\n\n"
+      << "threads = " << s.campaign.threads << "  ; 0 = hardware\n\n"
       << "[model]\n"
       << "wireless_scale = " << s.model.wireless_latency_scale
       << "  ; <1 = the 5G what-if\n"

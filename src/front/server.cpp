@@ -20,6 +20,9 @@ constexpr SimTime deadline_key(SimTime deadline_us) noexcept {
 
 constexpr std::uint64_t kMicro = 1'000'000;
 
+/// Smallest bucket table that is ever swept for full buckets.
+constexpr std::size_t kMinBucketSweep = 64;
+
 }  // namespace
 
 void FrontConfig::validate() const {
@@ -36,7 +39,8 @@ void FrontConfig::validate() const {
 
 FrontServer::FrontServer(const serve::Oracle* oracle,
                          serve::ColumnarStore* store, FrontConfig config)
-    : oracle_(oracle), store_(store), config_(config) {
+    : oracle_(oracle), store_(store), config_(config),
+      bucket_sweep_at_(kMinBucketSweep) {
   config_.validate();
 }
 
@@ -63,20 +67,31 @@ bool FrontServer::disconnect(ConnId conn) {
   return true;
 }
 
+void FrontServer::drop_full_buckets(SimTime now) {
+  // Exact: a bucket full at `now` stays full until its next take (`now`
+  // never goes backwards), where it refills to the cap and restamps —
+  // the same state a fresh bucket starts in. Compared by the time still
+  // needed to refill, so the product cannot overflow.
+  const std::uint64_t cap = std::uint64_t{config_.client_burst} * kMicro;
+  const std::uint64_t rate = config_.client_rate_qps;
+  std::erase_if(buckets_, [&](const auto& entry) {
+    const TokenBucket& b = entry.second;
+    const std::uint64_t missing = cap - b.micro_tokens;
+    return now - b.refilled_us >= (missing + rate - 1) / rate;
+  });
+  bucket_sweep_at_ = std::max(kMinBucketSweep, 2 * buckets_.size());
+}
+
 bool FrontServer::take_token(std::uint64_t client_id, SimTime now) {
   if (config_.client_rate_qps == 0) return true;
-  auto it = std::find_if(
-      buckets_.begin(), buckets_.end(),
-      [client_id](const auto& b) { return b.first == client_id; });
-  if (it == buckets_.end()) {
-    buckets_.emplace_back(
-        client_id,
-        TokenBucket{std::uint64_t{config_.client_burst} * kMicro, now});
-    it = buckets_.end() - 1;
-  }
-  TokenBucket& bucket = it->second;
   // Integer refill: elapsed_us × rate = tokens × 1e6 exactly.
   const std::uint64_t cap = std::uint64_t{config_.client_burst} * kMicro;
+  auto it = buckets_.find(client_id);
+  if (it == buckets_.end()) {
+    if (buckets_.size() >= bucket_sweep_at_) drop_full_buckets(now);
+    it = buckets_.emplace(client_id, TokenBucket{cap, now}).first;
+  }
+  TokenBucket& bucket = it->second;
   bucket.micro_tokens = std::min(
       cap, bucket.micro_tokens + (now - bucket.refilled_us) *
                                      config_.client_rate_qps);

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "front/frame.hpp"
@@ -155,6 +156,14 @@ class FrontServer {
   }
   [[nodiscard]] const FrontConfig& config() const noexcept { return config_; }
 
+  /// Token buckets currently held. A bucket that has refilled to
+  /// client_burst is indistinguishable from a fresh one and is dropped,
+  /// so the table tracks recently throttling clients, not every client
+  /// id ever seen.
+  [[nodiscard]] std::size_t client_bucket_count() const noexcept {
+    return buckets_.size();
+  }
+
   /// True when nothing is queued, in flight, or waiting to be read —
   /// the post-overload "drained back to steady state" predicate.
   [[nodiscard]] bool drained() const noexcept;
@@ -194,6 +203,8 @@ class FrontServer {
   void admit(ConnId conn, Request&& request, SimTime now);
   /// True when the bucket has a token to spend at `now`.
   [[nodiscard]] bool take_token(std::uint64_t client_id, SimTime now);
+  /// Drops every bucket that has refilled to client_burst by `now`.
+  void drop_full_buckets(SimTime now);
   void emit_error(ConnId conn, std::uint64_t request_id, ErrorCode code,
                   SimTime ready);
   void push_output(ConnId conn, std::vector<std::uint8_t>&& bytes,
@@ -211,7 +222,11 @@ class FrontServer {
   std::vector<Conn> conns_;
   std::vector<ConnId> free_conns_;  ///< disconnected ids, reused LIFO
   std::vector<Pending> queue_;  ///< arrival order; EDF-selected per batch
-  std::vector<std::pair<std::uint64_t, TokenBucket>> buckets_;
+  std::unordered_map<std::uint64_t, TokenBucket> buckets_;
+  /// Table size at which the next new client triggers
+  /// drop_full_buckets: twice the survivors of the last sweep, so the
+  /// sweeps cost amortised O(1) per new client.
+  std::size_t bucket_sweep_at_ = 0;
   SimTime busy_until_ = 0;
   std::uint64_t seq_ = 0;         ///< admission sequence
   std::uint64_t out_seq_ = 0;     ///< output emission sequence

@@ -52,30 +52,12 @@ double local_hour_at(double utc_hour, double lon_deg) noexcept {
 
 namespace {
 
-// The pre-cache engine compiled the distribution samplers in their own
-// translation unit, so every recomputed packet paid real call boundaries
-// here. These wrappers preserve those boundaries for the reference
-// sampler below — the cached kernel uses the header-inlined samplers
-// instead. Letting the optimiser inline through here would make the
-// reference faster than the engine it stands in for and understate the
-// recorded speedup.
-[[gnu::noinline]] double lognormal_median_call(stats::Xoshiro256& rng,
-                                               double median,
-                                               double spread) noexcept {
-  return stats::sample_lognormal_median(rng, median, spread);
-}
-
-[[gnu::noinline]] double pareto_call(stats::Xoshiro256& rng, double min_value,
-                                     double alpha) noexcept {
-  return stats::sample_pareto(rng, min_value, alpha);
-}
-
-/// The recomputing (uncached) sampler — a verbatim replica of the
-/// original per-packet engine, kept as the reference the sampling cache
-/// is byte-compared and benchmarked against. Same draws, same arithmetic
-/// as the cached kernel (the determinism suite pins both to the same
-/// golden checksums), and the same per-packet cost as the engine it
-/// replaces, so the recorded speedup is the real one.
+/// The recomputing per-packet sampler: every invariant (path, access
+/// profile, loss composition) is derived afresh from the endpoint and
+/// region. It is the independent reference the cached kernel is
+/// byte-compared against — same draws, same arithmetic (the
+/// cached-sampling oracle in src/check holds ping_cached to
+/// ping_perturbed on random worlds).
 PingObservation sample_ping(const LatencyModelConfig& config,
                             const LatencyModel& model, const Endpoint& src,
                             const topology::CloudRegion& dst,
@@ -97,13 +79,13 @@ PingObservation sample_ping(const LatencyModelConfig& config,
   const double base = path.base_rtt_ms();
   double rtt = base;
   if (config.excess_fraction > 0.0) {
-    rtt += lognormal_median_call(rng, base * config.excess_fraction,
-                                 config.excess_spread);
+    rtt += stats::sample_lognormal_median(rng, base * config.excess_fraction,
+                                          config.excess_spread);
   }
   rtt *= perturbation.latency_scale;  // route detour scales transit only
   rtt += sample_access_latency(profile, rng);
   if (rng.bernoulli(config.spike_probability)) {
-    rtt += pareto_call(rng, config.spike_min_ms, config.spike_alpha);
+    rtt += stats::sample_pareto(rng, config.spike_min_ms, config.spike_alpha);
   }
   rtt = std::max(0.0, rtt + perturbation.offset_ms);
   return {false, rtt};
@@ -180,23 +162,6 @@ PingResult LatencyModel::ping(const Endpoint& src,
                               stats::Xoshiro256& rng) const noexcept {
   return aggregate_burst(packets,
                          [&] { return ping_once(src, dst, rng); });
-}
-
-PingResult LatencyModel::ping_at(const Endpoint& src,
-                                 const topology::CloudRegion& dst, int packets,
-                                 double utc_hour,
-                                 stats::Xoshiro256& rng) const noexcept {
-  return aggregate_burst(
-      packets, [&] { return ping_once_at(src, dst, utc_hour, rng); });
-}
-
-PingResult LatencyModel::ping_loaded(const Endpoint& src,
-                                     const topology::CloudRegion& dst,
-                                     int packets, double load_factor,
-                                     stats::Xoshiro256& rng) const noexcept {
-  return aggregate_burst(packets, [&] {
-    return sample_ping(config_, *this, src, dst, load_factor, {}, rng);
-  });
 }
 
 PingResult LatencyModel::ping_perturbed(const Endpoint& src,

@@ -187,22 +187,10 @@ class LatencyModel {
                                 const topology::CloudRegion& dst, int packets,
                                 stats::Xoshiro256& rng) const noexcept;
 
-  /// Samples a ping burst at the given UTC hour (diurnal-aware).
-  [[nodiscard]] PingResult ping_at(const Endpoint& src,
-                                   const topology::CloudRegion& dst,
-                                   int packets, double utc_hour,
-                                   stats::Xoshiro256& rng) const noexcept;
-
   /// Samples a ping burst under an explicit last-mile load multiplier
-  /// (diurnal x temporal congestion, as composed by the campaign).
-  [[nodiscard]] PingResult ping_loaded(const Endpoint& src,
-                                       const topology::CloudRegion& dst,
-                                       int packets, double load_factor,
-                                       stats::Xoshiro256& rng) const noexcept;
-
-  /// Samples a ping burst under an explicit load multiplier *and* a fault
-  /// perturbation. With a neutral perturbation this is bit-identical to
-  /// ping_loaded (same draws, same arithmetic).
+  /// (diurnal x temporal congestion, as composed by the campaign) and a
+  /// fault perturbation (neutral when default-constructed). Recomputes
+  /// every invariant per packet: the reference ping_cached is held to.
   [[nodiscard]] PingResult ping_perturbed(const Endpoint& src,
                                           const topology::CloudRegion& dst,
                                           int packets, double load_factor,

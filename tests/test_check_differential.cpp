@@ -1,7 +1,8 @@
-// Differential oracles over generated worlds: cached vs uncached engine,
-// 1 vs 8 campaign threads, serial vs sharded analyses, CSV/JSONL round
-// trips, and the empty-schedule ≡ clean-engine identity. Each oracle must
-// agree bit for bit on every world the generator can produce.
+// Differential oracles over generated worlds: cached sampling vs the
+// per-packet reference, 1 vs 8 campaign threads, scalar vs batched
+// engine (within its epsilon), serial vs sharded analyses, CSV/JSONL
+// round trips, and the empty-schedule ≡ clean-engine identity. Each
+// oracle must agree on every world the generator can produce.
 #include <gtest/gtest.h>
 
 #include "atlas/measurement.hpp"
@@ -12,12 +13,12 @@
 namespace shears::check {
 namespace {
 
-TEST(Differential, CachedVsUncachedEngine) {
+TEST(Differential, CachedSamplingMatchesReference) {
   const CheckResult result = check(
-      "cached_vs_uncached",
+      "cached_sampling",
       [](Gen& gen) {
         const World world = make_world(gen);
-        check_cached_vs_uncached(world);
+        check_cached_sampling(world);
       },
       8);
   EXPECT_TRUE(result.passed) << result.banner;

@@ -162,6 +162,9 @@ TEST(Scenario, RejectsUnknownKeysAndProviders) {
                std::runtime_error);
   EXPECT_THROW(parse_scenario_string("[footprint]\nproviders = Initech\n"),
                std::runtime_error);
+  // A retired key is an unknown key, not a silently ignored one.
+  EXPECT_THROW(parse_scenario_string("[campaign]\nsampling_cache = true\n"),
+               std::runtime_error);
 }
 
 TEST(Scenario, RejectsOutOfRangeValues) {

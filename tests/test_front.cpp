@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "atlas/measurement.hpp"
@@ -426,6 +427,83 @@ TEST(FrontServer, TokenBucketThrottlesPerClient) {
   server.submit(hot, later, 1000);
   EXPECT_EQ(server.stats().shed_throttled, 3u);
   EXPECT_EQ(server.stats().admitted, 4u);
+}
+
+TEST(FrontServer, TokenBucketTableStaysBoundedUnderConnectionChurn) {
+  FrontWorld world;
+  FrontConfig config;
+  config.client_rate_qps = 1000;  // 1 token per ms
+  config.client_burst = 2;
+  FrontServer server(&world.oracle, &world.store, config);
+  // Every connection is a new client id, as on an accepting socket.
+  constexpr std::uint64_t kClients = 60'000;
+  std::size_t peak = 0;
+  for (std::uint64_t client = 0; client < kClients; ++client) {
+    const SimTime now = client * 1'000;
+    const ConnId conn = server.connect(client);
+    std::vector<std::uint8_t> bytes;
+    append_request_frame(bytes, best_rtt_request(client + 1, "DE"));
+    server.submit(conn, bytes, now);
+    server.run_until(now + 500);
+    (void)server.take_output(conn, now + 500);
+    ASSERT_TRUE(server.disconnect(conn)) << "client " << client;
+    peak = std::max(peak, server.client_bucket_count());
+  }
+  EXPECT_EQ(server.stats().admitted, kClients);
+  EXPECT_EQ(server.stats().answered, kClients);
+  EXPECT_EQ(server.stats().shed_throttled, 0u);
+  // Each bucket is full again a millisecond after its one request.
+  EXPECT_LE(peak, 128u);
+}
+
+TEST(FrontServer, PrunedBucketsDecideLikeAnUnprunedTable) {
+  FrontWorld world;
+  FrontConfig config;
+  config.client_rate_qps = 400;  // 2.5 ms per token
+  config.client_burst = 3;
+  FrontServer server(&world.oracle, &world.store, config);
+
+  // The reference keeps every bucket forever, as the table once did.
+  struct Bucket {
+    std::uint64_t micro_tokens;
+    SimTime refilled_us;
+  };
+  constexpr std::uint64_t kMicroTokens = 1'000'000;
+  constexpr std::uint64_t kCap = 3 * kMicroTokens;
+  std::unordered_map<std::uint64_t, Bucket> reference;
+  std::unordered_map<std::uint64_t, ConnId> conns;
+
+  std::uint64_t lcg = 12345;
+  SimTime now = 0;
+  std::uint64_t throttled = 0;
+  for (std::uint64_t i = 0; i < 20'000; ++i) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    const std::uint64_t r = lcg >> 33;
+    now += r % 700;
+    // Two hot clients that keep running dry, and a tail of 4000 that
+    // come back long after their buckets have refilled.
+    const std::uint64_t client = (r & 1) != 0 ? (r >> 1) % 2
+                                              : 2 + (r >> 4) % 4000;
+    Bucket& b = reference.try_emplace(client, Bucket{kCap, now}).first->second;
+    b.micro_tokens = std::min(
+        kCap, b.micro_tokens + (now - b.refilled_us) * config.client_rate_qps);
+    b.refilled_us = now;
+    const bool expect_throttled = b.micro_tokens < kMicroTokens;
+    if (!expect_throttled) b.micro_tokens -= kMicroTokens;
+    throttled += expect_throttled ? 1 : 0;
+
+    const auto [it, fresh] = conns.try_emplace(client, ConnId{0});
+    if (fresh) it->second = server.connect(client);
+    std::vector<std::uint8_t> bytes;
+    append_request_frame(bytes, best_rtt_request(i + 1, "DE"));
+    const std::uint64_t before = server.stats().shed_throttled;
+    server.submit(it->second, bytes, now);
+    ASSERT_EQ(server.stats().shed_throttled != before, expect_throttled)
+        << "request " << i << ", client " << client;
+    (void)server.take_output(it->second, now);
+  }
+  EXPECT_GT(throttled, 0u);
+  EXPECT_LT(server.client_bucket_count(), reference.size() / 4);
 }
 
 TEST(FrontServer, StaleStoreRefreshesAndRetries) {

@@ -930,6 +930,64 @@ TEST(FrontTransport, ClosedConnectionsAreReleasedFromTheSessionLayer) {
   ::close(fds[1]);
 }
 
+TEST(FrontTransport, ThrottledClientStaysThrottledAcrossReconnects) {
+  if (!socketpair_available()) GTEST_SKIP() << "no socketpair here";
+  World world(1);
+  FrontConfig config;
+  config.client_rate_qps = 10;  // one token per 100 ms
+  config.client_burst = 2;
+  FrontServer server(&world.oracle, &world.store, config);
+  ManualClock clock;
+  TransportConfig tconfig;
+  tconfig.auto_pump = false;
+  SocketServer transport(&server, &clock, tconfig);
+  constexpr std::uint64_t kClient = 7;
+
+  // The first connection spends the burst and is throttled once; the
+  // second, under the same client id a few ms later, finds the bucket
+  // still empty.
+  std::uint64_t id = 1;
+  for (const int requests : {3, 1}) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    (void)transport.adopt(fds[0], kClient);
+    BlockingClient peer;
+    peer.adopt(fds[1]);
+    std::vector<std::uint8_t> wire;
+    for (int k = 0; k < requests; ++k) {
+      const auto frame = request_bytes(id++, kClient, "DE");
+      wire.insert(wire.end(), frame.begin(), frame.end());
+    }
+    const std::uint64_t seen = transport.stats().bytes_in;
+    peer.send(wire);
+    poll_until(
+        transport,
+        [&] { return transport.stats().bytes_in >= seen + wire.size(); },
+        "requests");
+    if (HasFatalFailure()) return;
+    clock.advance_by(1'000);
+    transport.pump_session();
+    std::vector<std::uint8_t> got;
+    while (count_frames(got, FrameType::kResponse) +
+               count_frames(got, FrameType::kError) <
+           static_cast<std::size_t>(requests)) {
+      (void)transport.poll(0);
+      const auto raw = peer.recv_some(2'000);
+      ASSERT_FALSE(raw.empty()) << "no answer for " << requests;
+      got.insert(got.end(), raw.begin(), raw.end());
+    }
+    EXPECT_EQ(count_errors(got, ErrorCode::kThrottled), 1u)
+        << requests << " requests";
+    peer.close();
+    poll_until(
+        transport, [&] { return transport.connection_count() == 0; },
+        "close");
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(server.stats().admitted, 2u);
+  EXPECT_EQ(server.stats().shed_throttled, 2u);
+}
+
 // --------------------------------------------------------------- drain
 
 TEST(FrontTransport, GracefulDrainFlushesEverythingThenCloses) {

@@ -10,13 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "atlas/campaign.hpp"
 #include "atlas/placement.hpp"
+#include "check/world.hpp"
 #include "core/access_comparison.hpp"
 #include "core/analysis.hpp"
 #include "faults/fault_schedule.hpp"
@@ -159,32 +159,7 @@ TEST(Metrics, SnapshotReadJsonlRejectsMalformedInput) {
 
 // --- campaign instrumentation ----------------------------------------------
 
-/// Same digest as test_sampling_cache.cpp: FNV-1a over every record field,
-/// floats by bit pattern.
-std::uint64_t dataset_checksum(const atlas::MeasurementDataset& ds) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (const atlas::Measurement& m : ds.records()) {
-    mix(m.probe_id);
-    mix(m.region_index);
-    mix(m.tick);
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &m.min_ms, sizeof bits);
-    mix(bits);
-    std::memcpy(&bits, &m.avg_ms, sizeof bits);
-    mix(bits);
-    std::memcpy(&bits, &m.max_ms, sizeof bits);
-    mix(bits);
-    mix(m.sent);
-    mix(m.received);
-    mix(m.retries);
-    mix(m.faults);
-  }
-  return h;
-}
+using check::dataset_checksum;
 
 /// Golden checksum of the small default campaign, captured from the
 /// pre-cache engine (see test_sampling_cache.cpp). Instrumentation must
@@ -248,22 +223,6 @@ TEST(CampaignObservability, CountersMatchCampaignGroundTruth) {
   EXPECT_EQ(shard->count, 1u);  // threads = 1 -> one shard span
   // Clean runs register no fault-kind counters at all.
   EXPECT_EQ(snap.find("faults.activations.region-outage"), nullptr);
-}
-
-TEST(CampaignObservability, UncachedRunRecordsNoCacheHits) {
-  const auto fleet = small_fleet();
-  const auto registry = topology::CloudRegistry::campaign_footprint();
-  const net::LatencyModel model;
-  atlas::CampaignConfig cc = small_config();
-  cc.sampling_cache = false;
-
-  atlas::Campaign campaign(fleet, registry, model, cc);
-  obs::MetricsRegistry metrics;
-  campaign.attach_metrics(&metrics);
-  const auto dataset = campaign.run();
-  const obs::Snapshot snap = metrics.snapshot();
-  EXPECT_EQ(snap.counter("campaign.bursts"), dataset.size());
-  EXPECT_EQ(snap.counter("campaign.path_cache_hits"), 0u);
 }
 
 TEST(CampaignObservability, FaultedRunPublishesPerKindActivations) {

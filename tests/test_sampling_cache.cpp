@@ -1,9 +1,10 @@
 // The sampling-cache determinism contract (DESIGN.md, "Sampling cache"):
 //
-//   * cached and recomputing engines produce byte-identical datasets;
-//   * golden FNV-1a checksums captured from the PRE-cache engine pin the
-//     exact bytes, so any silent divergence (a reordered draw, a folded
-//     constant, an unsafe compiler flag) fails loudly;
+//   * golden FNV-1a checksums captured from the recomputing engine (the
+//     pre-cache one, and for the interval sweep the uncached engine it
+//     was checked equal to) pin the exact bytes, so any silent divergence
+//     (a reordered draw, a folded constant, an unsafe compiler flag)
+//     fails loudly;
 //   * results are invariant across campaign thread counts;
 //   * the precomputed path/profile state matches the recomputing entry
 //     points field for field, and the hoisted per-burst math matches the
@@ -11,13 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "atlas/campaign.hpp"
 #include "atlas/path_cache.hpp"
 #include "atlas/placement.hpp"
+#include "check/world.hpp"
 #include "config/scenario.hpp"
 #include "net/latency_model.hpp"
 #include "stats/distributions.hpp"
@@ -27,32 +28,7 @@
 namespace shears {
 namespace {
 
-/// FNV-1a over every field of every record, floats by bit pattern — the
-/// same digest the capture harness used against the pre-cache engine.
-std::uint64_t dataset_checksum(const atlas::MeasurementDataset& ds) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  for (const atlas::Measurement& m : ds.records()) {
-    mix(m.probe_id);
-    mix(m.region_index);
-    mix(m.tick);
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &m.min_ms, sizeof bits);
-    mix(bits);
-    std::memcpy(&bits, &m.avg_ms, sizeof bits);
-    mix(bits);
-    std::memcpy(&bits, &m.max_ms, sizeof bits);
-    mix(bits);
-    mix(m.sent);
-    mix(m.received);
-    mix(m.retries);
-    mix(m.faults);
-  }
-  return h;
-}
+using check::dataset_checksum;
 
 // Golden checksums captured from the recomputing engine BEFORE the cache
 // layer landed (commit f38bf78 lineage). They are the ground truth the
@@ -62,6 +38,28 @@ constexpr std::uint64_t kGoldenChurnMulti = 0x679b79bcd1dfd8caULL;
 constexpr std::uint64_t kGoldenPaper9Months = 0x46d3f0dd8d6cfb2bULL;
 constexpr std::uint64_t kGoldenFaulted9Months = 0x50b5875f3010277eULL;
 constexpr std::uint64_t kGoldenStressNoisy = 0x4e326ef751afea68ULL;
+
+/// Golden checksums of the small fleet at every interval that divides a
+/// day, two targets per tick, at full uptime (the fault-free fast loop)
+/// and at 90% uptime (the generic loop). Each pins a different diurnal
+/// phase table. Captured from the cached engine after asserting it equal
+/// to the uncached recomputing engine at every entry, before that engine
+/// was removed.
+struct IntervalGolden {
+  int interval_hours;
+  std::size_t records;        ///< at full uptime
+  std::uint64_t full_uptime;
+  std::uint64_t churn;        ///< probe_uptime = 0.9
+};
+constexpr IntervalGolden kIntervalGoldens[] = {
+    {1, 36864, 0x55036acef4f22247ULL, 0xddd1a2a2d741b1a1ULL},
+    {2, 18432, 0xe9154086925c49c6ULL, 0x71fc86b798f01884ULL},
+    {4, 9216, 0x8673a20ce994ef60ULL, 0xa01691b1d84be23eULL},
+    {6, 6144, 0x037f9f09f812c58bULL, 0xe71f3e8a5d8bcf6bULL},
+    {8, 4608, 0x8dfe2b0991583d80ULL, 0x7609c1309933844eULL},
+    {12, 3072, 0x9dcc0ca3b06fec85ULL, 0x429b1b374d4be0afULL},
+    {24, 1536, 0x8abe3d3bf6ede2c6ULL, 0xc3292d86fa242e7eULL},
+};
 
 atlas::ProbeFleet small_fleet() {
   atlas::PlacementConfig pc;
@@ -82,15 +80,10 @@ TEST(SamplingCacheGolden, SmallDefaultMatchesPreCacheEngine) {
   const auto fleet = small_fleet();
   const auto registry = topology::CloudRegistry::campaign_footprint();
   const net::LatencyModel model;
-  atlas::CampaignConfig cc = small_config();
 
-  const auto cached = atlas::Campaign(fleet, registry, model, cc).run();
-  EXPECT_EQ(dataset_checksum(cached), kGoldenSmallDefault);
-  EXPECT_EQ(cached.size(), 6144u);
-
-  cc.sampling_cache = false;
-  const auto uncached = atlas::Campaign(fleet, registry, model, cc).run();
-  EXPECT_EQ(dataset_checksum(uncached), kGoldenSmallDefault);
+  const auto ds = atlas::Campaign(fleet, registry, model, small_config()).run();
+  EXPECT_EQ(dataset_checksum(ds), kGoldenSmallDefault);
+  EXPECT_EQ(ds.size(), 6144u);
 }
 
 TEST(SamplingCacheGolden, ChurnMultiTargetMatchesPreCacheEngine) {
@@ -109,12 +102,32 @@ TEST(SamplingCacheGolden, ChurnMultiTargetMatchesPreCacheEngine) {
   cc.seed = 99;
   cc.threads = 2;
 
-  const auto cached = atlas::Campaign(fleet, registry, model, cc).run();
-  EXPECT_EQ(dataset_checksum(cached), kGoldenChurnMulti);
+  const auto ds = atlas::Campaign(fleet, registry, model, cc).run();
+  EXPECT_EQ(dataset_checksum(ds), kGoldenChurnMulti);
+}
 
-  cc.sampling_cache = false;
-  const auto uncached = atlas::Campaign(fleet, registry, model, cc).run();
-  EXPECT_EQ(dataset_checksum(uncached), kGoldenChurnMulti);
+TEST(SamplingCacheGolden, EveryDailyIntervalMatchesRecomputingEngine) {
+  const auto fleet = small_fleet();
+  const auto registry = topology::CloudRegistry::campaign_footprint();
+  const net::LatencyModel model;
+  for (const IntervalGolden& golden : kIntervalGoldens) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      atlas::CampaignConfig cc = small_config();
+      cc.interval_hours = golden.interval_hours;
+      cc.targets_per_tick = 2;
+      cc.threads = threads;
+      const auto full = atlas::Campaign(fleet, registry, model, cc).run();
+      EXPECT_EQ(full.size(), golden.records)
+          << golden.interval_hours << " h, " << threads << " threads";
+      EXPECT_EQ(dataset_checksum(full), golden.full_uptime)
+          << golden.interval_hours << " h, " << threads << " threads";
+      cc.probe_uptime = 0.9;
+      const auto churn = atlas::Campaign(fleet, registry, model, cc).run();
+      EXPECT_EQ(dataset_checksum(churn), golden.churn)
+          << golden.interval_hours << " h, " << threads
+          << " threads, 90% uptime";
+    }
+  }
 }
 
 std::uint64_t scenario_checksum(const char* file) {
@@ -147,13 +160,9 @@ TEST(SamplingCacheThreads, DatasetInvariantAcrossThreadCounts) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     atlas::CampaignConfig cc = small_config();
     cc.threads = threads;
-    const auto cached = atlas::Campaign(fleet, registry, model, cc).run();
-    EXPECT_EQ(dataset_checksum(cached), kGoldenSmallDefault)
-        << threads << " threads, cached";
-    cc.sampling_cache = false;
-    const auto uncached = atlas::Campaign(fleet, registry, model, cc).run();
-    EXPECT_EQ(dataset_checksum(uncached), kGoldenSmallDefault)
-        << threads << " threads, uncached";
+    const auto ds = atlas::Campaign(fleet, registry, model, cc).run();
+    EXPECT_EQ(dataset_checksum(ds), kGoldenSmallDefault)
+        << threads << " threads";
   }
 }
 
